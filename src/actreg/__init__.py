@@ -12,8 +12,7 @@ from .datasets import (DatasetHandle, load_idx_dataset, load_idx_images,
                        load_idx_labels, load_idx_pair, synth_blobs)
 from .errors import NonFiniteError, ParseError, ShapeError, ValidationError
 from .models import (ARCHITECTURES, ForwardTrace, Model, ModelSpec,
-                     build_bimodal, build_cnn, build_mlp, build_model,
-                     build_physics, forward_traced, param_count,
+                     build_model, forward_traced, param_count,
                      param_count_for, param_shapes, spec_with_dims)
 from .objective import (activation_energy, dataset_activation_energy,
                         regularized_loss)
@@ -29,22 +28,20 @@ from .stats import (AnovaSource, BootstrapCI, LinearFit, TukeyPair,
                     tukey_hsd, two_way_anova_type2, wilcoxon_signed_rank)
 from .sweep import (DEFAULT_LAMBDAS, SweepCell, SweepReport, SweepRow,
                     load_sweep, run_lambda_sweep, save_sweep)
-from .tensor import (Adam, AdamState, Tensor, adam_step, grad_check,
-                     softmax_cross_entropy)
+from .tensor import Adam, Tensor, grad_check, softmax_cross_entropy
 from .training import (RunConfig, evaluate, hardware_descriptor,
                        seed_protocol, train)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARCHITECTURES", "Adam", "AdamState", "AnovaSource", "BootstrapCI",
+    "ARCHITECTURES", "Adam", "AnovaSource", "BootstrapCI",
     "DEFAULT_LAMBDAS", "DatasetHandle", "EnergyReport", "ExperimentRecord",
     "ForwardTrace", "LinearFit", "LiveSource", "Model", "ModelSpec",
     "NonFiniteError", "ParseError", "PowerSample", "RunConfig", "ShapeError",
     "SweepCell", "SweepReport", "SweepRow", "Table", "Tensor", "TukeyPair",
-    "ValidationError", "WilcoxonResult", "activation_energy", "adam_step",
-    "analyze_records", "bootstrap_ci", "build_bimodal", "build_cnn",
-    "build_mlp", "build_model", "build_physics", "coefficient_of_variation",
+    "ValidationError", "WilcoxonResult", "activation_energy",
+    "analyze_records", "bootstrap_ci", "build_model", "coefficient_of_variation",
     "dataset_activation_energy", "energy_per_correct", "evaluate",
     "forward_traced", "grad_check", "hardware_descriptor", "integrate",
     "linear_fit", "live_source", "load_idx_dataset", "load_idx_images",

@@ -65,8 +65,7 @@ def _usable(records: list[ExperimentRecord], response: str) -> list[ExperimentRe
         raise ValidationError(f"unknown response {response!r}, expected one "
                               f"of {RESPONSES}")
     out = [r for r in records
-           if r.status == "ok" and getattr(r, "lam" if response == "lambda"
-                                           else response) is not None]
+           if r.status == "ok" and getattr(r, response) is not None]
     if not out:
         raise ValidationError(f"no completed records carry {response!r}")
     return out

@@ -218,32 +218,6 @@ def build_model(spec: ModelSpec, seed: Seed) -> Model:
     return Model(spec=spec, params=_init_params(spec, make_generator(seed)))
 
 
-def build_bimodal(input_dim: int, hidden_dim: int, output_dim: int,
-                  glia_ratio: float, seed: Seed) -> Model:
-    return build_model(ModelSpec("bimodal", input_dim, hidden_dim, output_dim,
-                                 glia_ratio=glia_ratio), seed)
-
-
-def build_physics(input_dim: int, hidden_dim: int, output_dim: int,
-                  seed: Seed) -> Model:
-    return build_model(ModelSpec("physics", input_dim, hidden_dim, output_dim), seed)
-
-
-def build_mlp(input_dim: int, hidden_dim: int, output_dim: int,
-              seed: Seed) -> Model:
-    return build_model(ModelSpec("mlp", input_dim, hidden_dim, output_dim), seed)
-
-
-def build_cnn(input_dim: int, hidden_dim: int, output_dim: int, seed: Seed, *,
-              conv_channels: tuple[int, int] = (8, 16),
-              dense_dim: int = 128) -> Model:
-    # hidden_dim is accepted for interface uniformity; the cnn's widths
-    # come from conv_channels and dense_dim.
-    return build_model(ModelSpec("cnn", input_dim, hidden_dim, output_dim,
-                                 conv_channels=conv_channels,
-                                 dense_dim=dense_dim), seed)
-
-
 def _linear(x: Tensor, params: dict[str, Tensor], name: str) -> Tensor:
     return add_bias(matmul(x, params[f"{name}_w"]), params[f"{name}_b"])
 

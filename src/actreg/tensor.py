@@ -2,8 +2,14 @@
 
 A Tensor wraps a dense float64 array and, when it participates in a
 differentiable graph, remembers its parents and a backward closure.
-``backward()`` on a scalar walks the recorded graph once in reverse
-topological order, accumulating gradients additively so fan-out is
+Every op builds its output through one constructor, ``_node``. A
+backward closure takes the output's upstream gradient and returns one
+gradient per parent; it never refers to its own output node, so a graph
+holds no reference cycles and reference counting frees it as soon as
+its loss is dropped. ``backward()`` on a scalar walks the recorded graph
+once in reverse topological order and is the only place gradients are
+accumulated: the first one a node receives is assigned (copied for
+leaves, which own their arrays), later ones are added, so fan-out is
 handled correctly. Only the operations needed by the model zoo are
 provided; shapes must match exactly except for the documented bias
 broadcasts.
@@ -18,6 +24,8 @@ import numpy as np
 from .errors import NonFiniteError, ShapeError, ValidationError
 from .rng import Seed, make_generator
 
+Backward = Callable[[np.ndarray], Sequence[np.ndarray]]
+
 
 class Tensor:
     """Dense float64 array with optional gradient tracking.
@@ -28,17 +36,15 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple["Tensor", ...] = ()):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise NonFiniteError("tensor contains non-finite values")
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        # Constant subgraphs are pruned: no parents, no backward closure.
-        self._parents = _parents if self.requires_grad else ()
-        self._backward: Callable[[], None] | None = None
+        self.requires_grad = bool(requires_grad)
+        self._parents: tuple[Tensor, ...] = ()
+        self._backward: Backward | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -57,7 +63,8 @@ class Tensor:
         """Backpropagate from a scalar through the recorded graph.
 
         Visits every reachable node exactly once, children before
-        parents, and accumulates into ``grad`` with addition.
+        parents. A node's first gradient is assigned and later ones are
+        added, never in place.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() starts from a scalar, shape is {self.shape}")
@@ -80,43 +87,34 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None:
-                node._backward()
+            if node._backward is None:
+                continue
+            for parent, g in zip(node._parents, node._backward(node.grad)):
+                if not parent.requires_grad:
+                    continue
+                if parent.grad is not None:
+                    parent.grad = parent.grad + g
+                elif parent._parents:
+                    parent.grad = g
+                else:
+                    # a leaf owns its gradient: ops may pass arrays through
+                    parent.grad = g.copy()
 
     def sum(self) -> "Tensor":
         """Sum of all elements as a scalar tensor."""
-        out = Tensor(np.array(self.data.sum()), _parents=(self,))
-        if out.requires_grad:
-            def backward():
-                _accumulate(self, np.full_like(self.data, float(out.grad)))
-            out._backward = backward
-        return out
+        return _node(np.array(self.data.sum()), (self,),
+                     lambda g: (np.full_like(self.data, float(g)),))
 
     def reshape(self, shape: tuple[int, ...]) -> "Tensor":
-        out = Tensor(self.data.reshape(shape), _parents=(self,))
-        if out.requires_grad:
-            def backward():
-                _accumulate(self, out.grad.reshape(self.data.shape))
-            out._backward = backward
-        return out
+        return _node(self.data.reshape(shape), (self,),
+                     lambda g: (g.reshape(self.data.shape),))
 
     def __add__(self, other) -> "Tensor":
         if isinstance(other, Tensor):
             if self.shape != other.shape:
                 raise ShapeError(f"add shapes differ: {self.shape} vs {other.shape}")
-            out = Tensor(self.data + other.data, _parents=(self, other))
-            if out.requires_grad:
-                def backward():
-                    _accumulate(self, out.grad)
-                    _accumulate(other, out.grad)
-                out._backward = backward
-            return out
-        out = Tensor(self.data + float(other), _parents=(self,))
-        if out.requires_grad:
-            def backward():
-                _accumulate(self, out.grad)
-            out._backward = backward
-        return out
+            return _node(self.data + other.data, (self, other), lambda g: (g, g))
+        return _node(self.data + float(other), (self,), lambda g: (g,))
 
     __radd__ = __add__
 
@@ -124,20 +122,10 @@ class Tensor:
         if isinstance(other, Tensor):
             if self.shape != other.shape:
                 raise ShapeError(f"mul shapes differ: {self.shape} vs {other.shape}")
-            out = Tensor(self.data * other.data, _parents=(self, other))
-            if out.requires_grad:
-                def backward():
-                    _accumulate(self, out.grad * other.data)
-                    _accumulate(other, out.grad * self.data)
-                out._backward = backward
-            return out
+            return _node(self.data * other.data, (self, other),
+                         lambda g: (g * other.data, g * self.data))
         scale = float(other)
-        out = Tensor(self.data * scale, _parents=(self,))
-        if out.requires_grad:
-            def backward():
-                _accumulate(self, out.grad * scale)
-            out._backward = backward
-        return out
+        return _node(self.data * scale, (self,), lambda g: (g * scale,))
 
     __rmul__ = __mul__
 
@@ -155,12 +143,18 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward: Backward) -> Tensor:
+    """The one graph-node constructor every op builds its output with.
+
+    Constant subgraphs are pruned: when no parent needs a gradient the
+    output keeps no parents and no backward closure.
+    """
+    out = Tensor(data)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = backward
+    return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -169,13 +163,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
-    out = Tensor(a.data @ b.data, _parents=(a, b))
-    if out.requires_grad:
-        def backward():
-            _accumulate(a, out.grad @ b.data.T)
-            _accumulate(b, a.data.T @ out.grad)
-        out._backward = backward
-    return out
+    return _node(a.data @ b.data, (a, b),
+                 lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -185,49 +174,28 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     convolution channels. This is the only broadcasting in the package.
     """
     if x.data.ndim == 2 and b.data.shape == (x.shape[1],):
-        out = Tensor(x.data + b.data, _parents=(x, b))
+        data = x.data + b.data
         axes = (0,)
     elif x.data.ndim == 4 and b.data.shape == (x.shape[1],):
-        out = Tensor(x.data + b.data[None, :, None, None], _parents=(x, b))
+        data = x.data + b.data[None, :, None, None]
         axes = (0, 2, 3)
     else:
         raise ShapeError(f"bias {b.shape} does not broadcast onto {x.shape}")
-    if out.requires_grad:
-        def backward():
-            _accumulate(x, out.grad)
-            _accumulate(b, out.grad.sum(axis=axes))
-        out._backward = backward
-    return out
+    return _node(data, (x, b), lambda g: (g, g.sum(axis=axes)))
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0), _parents=(x,))
-    if out.requires_grad:
-        mask = x.data > 0
-        def backward():
-            _accumulate(x, out.grad * mask)
-        out._backward = backward
-    return out
+    return _node(np.maximum(x.data, 0.0), (x,), lambda g: (g * (x.data > 0),))
 
 
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
-    out = Tensor(t, _parents=(x,))
-    if out.requires_grad:
-        def backward():
-            _accumulate(x, out.grad * (1.0 - t * t))
-        out._backward = backward
-    return out
+    return _node(t, (x,), lambda g: (g * (1.0 - t * t),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
-    out = Tensor(s, _parents=(x,))
-    if out.requires_grad:
-        def backward():
-            _accumulate(x, out.grad * s * (1.0 - s))
-        out._backward = backward
-    return out
+    return _node(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -252,16 +220,9 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
             if ax != axis % ndim and p.shape[ax] != parts[0].shape[ax]:
                 raise ShapeError(f"concat shapes differ off-axis: "
                                  f"{parts[0].shape} vs {p.shape}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis),
-                 _parents=tuple(parts))
-    if out.requires_grad:
-        widths = [p.shape[axis % ndim] for p in parts]
-        splits = np.cumsum(widths)[:-1]
-        def backward():
-            for p, g in zip(parts, np.split(out.grad, splits, axis=axis)):
-                _accumulate(p, g)
-        out._backward = backward
-    return out
+    widths = [p.shape[axis % ndim] for p in parts]
+    return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
+                 lambda g: np.split(g, np.cumsum(widths)[:-1], axis=axis))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -293,15 +254,12 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     loss = float(np.mean(lse - z[np.arange(n), y]))
-    out = Tensor(np.array(loss), _parents=(logits,))
-    if out.requires_grad:
-        probs = softmax(logits.data)
-        def backward():
-            d = probs.copy()
-            d[np.arange(n), y] -= 1.0
-            _accumulate(logits, float(out.grad) * d / n)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        d = softmax(logits.data)
+        d[np.arange(n), y] -= 1.0
+        return (float(g) * d / n,)
+    return _node(np.array(loss), (logits,), backward)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
@@ -358,15 +316,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     ow = (wid + 2 * padding - kw) // stride + 1
     cols = _im2col(x.data, kh, kw, stride, padding, oh, ow)
     wf = w.data.reshape(o, c * kh * kw)
-    out = Tensor(np.matmul(wf, cols).reshape(n, o, oh, ow), _parents=(x, w))
-    if out.requires_grad:
-        def backward():
-            g = out.grad.reshape(n, o, oh * ow)
-            _accumulate(w, np.einsum("nol,nkl->ok", g, cols).reshape(w.shape))
-            dcols = np.matmul(wf.T, g)
-            _accumulate(x, _col2im(dcols, x.shape, kh, kw, stride, padding, oh, ow))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        g = g.reshape(n, o, oh * ow)
+        dw = np.einsum("nol,nkl->ok", g, cols).reshape(w.shape)
+        dx = _col2im(np.matmul(wf.T, g), x.shape, kh, kw, stride, padding, oh, ow)
+        return dx, dw
+    return _node(np.matmul(wf, cols).reshape(n, o, oh, ow), (x, w), backward)
 
 
 def max_pool2(x: Tensor) -> Tensor:
@@ -385,87 +341,70 @@ def max_pool2(x: Tensor) -> Tensor:
            .transpose(0, 1, 2, 4, 3, 5)
            .reshape(n, c, oh, ow, 4))
     idx = win.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(win, idx[..., None], axis=-1)[..., 0],
-                 _parents=(x,))
-    if out.requires_grad:
-        def backward():
-            dwin = np.zeros((n, c, oh, ow, 4), dtype=np.float64)
-            np.put_along_axis(dwin, idx[..., None], out.grad[..., None], axis=-1)
-            dx = np.zeros_like(x.data)
-            dx[:, :, :oh * 2, :ow * 2] = (dwin.reshape(n, c, oh, ow, 2, 2)
-                                          .transpose(0, 1, 2, 4, 3, 5)
-                                          .reshape(n, c, oh * 2, ow * 2))
-            _accumulate(x, dx)
-        out._backward = backward
-    return out
 
-
-class AdamState:
-    """First and second moment estimates plus the shared step counter."""
-
-    def __init__(self, shapes: Sequence[tuple[int, ...]]):
-        self.m = [np.zeros(s, dtype=np.float64) for s in shapes]
-        self.v = [np.zeros(s, dtype=np.float64) for s in shapes]
-        self.step_count = 0
-
-
-def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray | None],
-              state: AdamState, *, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8,
-              weight_decay: float = 0.0) -> None:
-    """One Adam update, in place.
-
-    L2 weight decay is folded into the gradient before the moment
-    updates (grad += weight_decay * param), the classic coupled form.
-    Bias correction uses the shared step counter, which this call
-    increments.
-    """
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ValidationError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-    if eps <= 0.0 or lr < 0.0 or weight_decay < 0.0:
-        raise ValidationError("lr and weight_decay must be >= 0 and eps > 0")
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValidationError("params, grads and state lengths differ")
-    state.step_count += 1
-    t = state.step_count
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g is None:
-            g = np.zeros_like(p)
-        if g.shape != p.shape:
-            raise ShapeError(f"grad shape {g.shape} does not match param {p.shape}")
-        if weight_decay:
-            g = g + weight_decay * p
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    def backward(g):
+        dwin = np.zeros((n, c, oh, ow, 4), dtype=np.float64)
+        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+        dx = np.zeros_like(x.data)
+        dx[:, :, :oh * 2, :ow * 2] = (dwin.reshape(n, c, oh, ow, 2, 2)
+                                      .transpose(0, 1, 2, 4, 3, 5)
+                                      .reshape(n, c, oh * 2, ow * 2))
+        return (dx,)
+    return _node(np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], (x,),
+                 backward)
 
 
 class Adam:
-    """Adam bound to a list of parameter tensors."""
+    """Adam bound to a list of parameter tensors, updating them in place.
+
+    L2 weight decay is folded into the gradient before the moment
+    updates (grad += weight_decay * param), the classic coupled form.
+    Bias correction uses the shared step counter, which ``step``
+    increments. A parameter without a gradient is stepped as if its
+    gradient were zero.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  weight_decay: float = 0.0):
+        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+            raise ValidationError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
+        if eps <= 0.0 or lr < 0.0 or weight_decay < 0.0:
+            raise ValidationError("lr and weight_decay must be >= 0 and eps > 0")
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.state = AdamState([p.shape for p in self.params])
+        self.m = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
+        self.v = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
+        self.step_count = 0
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
     def step(self) -> None:
-        adam_step([p.data for p in self.params], [p.grad for p in self.params],
-                  self.state, lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                  eps=self.eps, weight_decay=self.weight_decay)
+        """One Adam update of every parameter, in place."""
+        beta1, beta2, eps = self.beta1, self.beta2, self.eps
+        self.step_count += 1
+        t = self.step_count
+        c1 = 1.0 - beta1 ** t
+        c2 = 1.0 - beta2 ** t
+        for param, m, v in zip(self.params, self.m, self.v):
+            p, g = param.data, param.grad
+            if g is None:
+                g = np.zeros_like(p)
+            if g.shape != p.shape:
+                raise ShapeError(f"grad shape {g.shape} does not match param {p.shape}")
+            if self.weight_decay:
+                g = g + self.weight_decay * p
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor], *,

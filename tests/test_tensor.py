@@ -1,16 +1,18 @@
 """Autodiff core: frozen forward fixtures, gradient checks, Adam."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
 from actreg.errors import NonFiniteError, ShapeError, ValidationError
+from actreg.models import ModelSpec, build_model, forward_traced
+from actreg.objective import activation_energy, regularized_loss
 from actreg.rng import make_generator
-from actreg.tensor import (Adam, AdamState, Tensor, adam_step, add_bias,
-                           concat, conv2d, grad_check, matmul, max_pool2,
-                           relu, sigmoid, softmax, softmax_cross_entropy,
-                           tanh)
+from actreg.tensor import (Adam, Tensor, add_bias, concat, conv2d, grad_check,
+                           matmul, max_pool2, relu, sigmoid, softmax,
+                           softmax_cross_entropy, tanh)
 
 
 def _leaf(data):
@@ -138,6 +140,39 @@ def test_diamond_graph_counts_each_path_once():
     z = x * x + x
     z.sum().backward()
     np.testing.assert_allclose(x.grad, [5.0], rtol=0, atol=1e-12)
+
+
+def test_leaves_own_their_gradients():
+    # add passes its upstream gradient straight through to both parents
+    a, b = _leaf([1.0, 2.0]), _leaf([3.0, 4.0])
+    (a + b).sum().backward()
+    assert a.grad is not b.grad
+    np.testing.assert_array_equal(a.grad, np.ones(2))
+    np.testing.assert_array_equal(b.grad, np.ones(2))
+
+
+def test_step_graph_is_freed_by_reference_counting():
+    # closures never capture their own node, so a graph holds no
+    # reference cycle and dropping the loss frees it without the
+    # cyclic collector
+    model = build_model(ModelSpec("mlp", 6, 8, 3), seed=0)
+    gen = make_generator(1)
+    x, y = gen.normal(size=(5, 6)), np.array([0, 1, 2, 0, 1])
+    gc.collect()
+    gc.disable()
+    try:
+        before = {id(o) for o in gc.get_objects() if isinstance(o, Tensor)}
+        trace = forward_traced(model, x)
+        loss = regularized_loss(softmax_cross_entropy(trace.logits, y),
+                                activation_energy(trace), 1e-3)
+        loss.backward()
+        del loss, trace
+        left = sum(1 for o in gc.get_objects()
+                   if isinstance(o, Tensor) and id(o) not in before)
+    finally:
+        gc.enable()
+    assert left == 0
+    assert all(p.grad is not None for p in model.parameters())
 
 
 def test_constant_branch_gets_no_gradient():
@@ -292,49 +327,56 @@ def test_grad_check_rejects_silly_perturbation():
 
 # ------------------------------------------------------------------- adam
 
+def _adam_step(opt, *grads):
+    for p, g in zip(opt.params, grads):
+        p.grad = g
+    opt.step()
+
+
 def test_adam_first_step_magnitude():
     # with g = 1 the bias-corrected ratio is 1, so the step is -lr
-    p = np.array([0.5])
-    state = AdamState([(1,)])
-    adam_step([p], [np.ones(1)], state, lr=1e-3)
-    assert abs(p[0] - (0.5 - 1e-3)) < 1e-9
+    p = _leaf([0.5])
+    _adam_step(Adam([p], lr=1e-3), np.ones(1))
+    assert abs(p.data[0] - (0.5 - 1e-3)) < 1e-9
 
 
 def test_adam_constant_gradient_steps_agree():
-    p = np.array([0.5])
-    state = AdamState([(1,)])
-    adam_step([p], [np.ones(1)], state, lr=1e-3)
-    d1 = 0.5 - p[0]
-    before = p[0]
-    adam_step([p], [np.ones(1)], state, lr=1e-3)
-    d2 = before - p[0]
+    p = _leaf([0.5])
+    opt = Adam([p], lr=1e-3)
+    _adam_step(opt, np.ones(1))
+    d1 = 0.5 - p.data[0]
+    before = p.data[0]
+    _adam_step(opt, np.ones(1))
+    d2 = before - p.data[0]
     assert abs(d1 - d2) < 1e-6
 
 
 def test_adam_zero_lr_is_identity():
     gen = make_generator(2)
-    p = gen.normal(size=(4, 3))
-    keep = p.copy()
-    state = AdamState([p.shape])
-    adam_step([p], [gen.normal(size=(4, 3))], state, lr=0.0)
-    np.testing.assert_array_equal(p, keep)
+    p = _leaf(gen.normal(size=(4, 3)))
+    keep = p.data.copy()
+    _adam_step(Adam([p], lr=0.0), gen.normal(size=(4, 3)))
+    np.testing.assert_array_equal(p.data, keep)
 
 
 def test_adam_validates_inputs():
-    state = AdamState([(2,)])
+    p = _leaf(np.ones(2))
     with pytest.raises(ValidationError):
-        adam_step([np.ones(2)], [np.ones(2)], state, beta1=1.0)
+        Adam([p], beta1=1.0)
     with pytest.raises(ValidationError):
-        adam_step([np.ones(2)], [np.ones(2), np.ones(2)], state)
+        Adam([p], eps=0.0)
+    with pytest.raises(ValidationError):
+        Adam([p], lr=-1e-3)
+    with pytest.raises(ValidationError):
+        Adam([p], weight_decay=-0.1)
     with pytest.raises(ShapeError):
-        adam_step([np.ones(2)], [np.ones(3)], state)
+        _adam_step(Adam([p]), np.ones(3))
 
 
 def test_adam_weight_decay_pulls_toward_zero():
-    p = np.array([10.0])
-    state = AdamState([(1,)])
-    adam_step([p], [np.zeros(1)], state, lr=1e-3, weight_decay=0.1)
-    assert p[0] < 10.0
+    p = _leaf([10.0])
+    _adam_step(Adam([p], lr=1e-3, weight_decay=0.1), np.zeros(1))
+    assert p.data[0] < 10.0
 
 
 def test_adam_class_descends_a_quadratic():
