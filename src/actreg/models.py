@@ -227,7 +227,8 @@ def forward_traced(model: Model, batch) -> ForwardTrace:
 
     Returns logits and the hidden post-activation tensors in layer
     order; for multi-path architectures the paths appear path by path.
-    The graph is retained, so any function of the trace is trainable.
+    Outside ``no_grad`` the graph is retained, so any function of the
+    trace is trainable.
     """
     x = batch if isinstance(batch, Tensor) else Tensor(batch)
     if x.data.ndim != 2 or x.shape[1] != model.spec.input_dim:

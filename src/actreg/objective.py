@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NonFiniteError, ValidationError
 from .models import Model, ForwardTrace, forward_traced
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 
 def activation_energy(trace: ForwardTrace) -> Tensor:
@@ -52,6 +52,7 @@ def dataset_activation_energy(model: Model, features: np.ndarray,
 
     Computed in batches; the result is the per-example mean, summed over
     layers, identical to what a single full-dataset forward would give.
+    Raises NonFiniteError when the result is not finite.
     """
     n = features.shape[0]
     if n == 0:
@@ -59,8 +60,11 @@ def dataset_activation_energy(model: Model, features: np.ndarray,
     if batch_size < 1:
         raise ValidationError("batch_size must be >= 1")
     total = 0.0
-    for start in range(0, n, batch_size):
-        trace = forward_traced(model, features[start:start + batch_size])
-        for a in trace.hidden_activations:
-            total += float(np.sum(a.data * a.data))
+    with no_grad():
+        for start in range(0, n, batch_size):
+            trace = forward_traced(model, features[start:start + batch_size])
+            for a in trace.hidden_activations:
+                total += float(np.sum(a.data * a.data))
+    if not np.isfinite(total):
+        raise NonFiniteError("dataset activation energy is non-finite")
     return total / n

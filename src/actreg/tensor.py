@@ -4,34 +4,66 @@ A Tensor wraps a dense float64 array and, when it participates in a
 differentiable graph, remembers its parents and a backward closure.
 Every op builds its output through one constructor, ``_node``. A
 backward closure takes the output's upstream gradient and returns one
-gradient per parent; it never refers to its own output node, so a graph
-holds no reference cycles and reference counting frees it as soon as
-its loss is dropped. ``backward()`` on a scalar walks the recorded graph
-once in reverse topological order and is the only place gradients are
-accumulated: the first one a node receives is assigned (copied for
-leaves, which own their arrays), later ones are added, so fan-out is
-handled correctly. Only the operations needed by the model zoo are
-provided; shapes must match exactly except for the documented bias
-broadcasts.
+gradient per parent, or None for a parent that needs none; it never
+refers to its own output node, so a graph holds no reference cycles and
+reference counting frees it as soon as its loss is dropped.
+``backward()`` on a scalar walks the recorded graph once in reverse
+topological order and is the only place gradients are accumulated: the
+first one a node receives is assigned (copied for leaves, which own
+their arrays), later ones are added, so fan-out is handled correctly.
+Only the operations needed by the model zoo are provided; shapes must
+match exactly except for the documented bias broadcasts.
+
+Finiteness is checked at state boundaries, not per op: the public
+``Tensor(...)`` constructor rejects NaN and infinity in inputs and
+parameters, ``Adam.step`` rejects a non-finite gradient before it
+updates anything and non-finite parameters after, and callers check the
+loss they compute. An op output may therefore hold an overflow that a
+later op saturates away (``tanh(x * 10.0)`` at x = 1e308 is finite).
+
+Inside ``with no_grad():`` ops record no graph: outputs keep no parents
+and no backward closure, so evaluation passes allocate only their
+forward arrays.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError, ValidationError
 from .rng import Seed, make_generator
 
-Backward = Callable[[np.ndarray], Sequence[np.ndarray]]
+Backward = Callable[[np.ndarray], Sequence[np.ndarray | None]]
+
+# Read only by ``_node``; set through ``no_grad``.
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Build no graph inside the block; the previous mode returns on exit.
+
+    The switch is process-wide, not per thread.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
     """Dense float64 array with optional gradient tracking.
 
-    Elements are finite by construction: the constructor rejects NaN and
-    infinity, so any overflow inside an operation surfaces immediately.
+    The public constructor rejects NaN and infinity, so inputs and
+    parameters are finite. Op outputs are not checked one by one: an
+    overflow surfaces where state is checked (the loss, and the
+    gradients and parameters in ``Adam.step``).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -62,9 +94,10 @@ class Tensor:
     def backward(self) -> None:
         """Backpropagate from a scalar through the recorded graph.
 
-        Visits every reachable node exactly once, children before
-        parents. A node's first gradient is assigned and later ones are
-        added, never in place.
+        Visits every reachable interior node exactly once, children
+        before parents; leaves receive their gradients from the nodes
+        that use them. A node's first gradient is assigned and later
+        ones are added, never in place.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() starts from a scalar, shape is {self.shape}")
@@ -83,7 +116,7 @@ class Tensor:
             seen.add(node)
             stack.append((node, True))
             for parent in node._parents:
-                if parent not in seen:
+                if parent._parents and parent not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
@@ -146,14 +179,24 @@ class Tensor:
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward: Backward) -> Tensor:
     """The one graph-node constructor every op builds its output with.
 
-    Constant subgraphs are pruned: when no parent needs a gradient the
-    output keeps no parents and no backward closure.
+    Constant subgraphs are pruned: when no parent needs a gradient, or
+    under ``no_grad``, the output keeps no parents and no backward
+    closure. The output is not checked for finiteness.
     """
-    out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+    out = Tensor.__new__(Tensor)
+    out.data = np.asarray(data, dtype=np.float64)
+    out.grad = None
+    if _grad_enabled:
+        # a loop, not any() over a generator: this runs for every op output
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
+                return out
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
     return out
 
 
@@ -164,7 +207,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
     return _node(a.data @ b.data, (a, b),
-                 lambda g: (g @ b.data.T, a.data.T @ g))
+                 lambda g: (g @ b.data.T if a.requires_grad else None,
+                            a.data.T @ g if b.requires_grad else None))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -199,13 +243,10 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a nonpositive argument never overflows; each branch is the
+    # sign's stable form
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -319,8 +360,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     def backward(g):
         g = g.reshape(n, o, oh * ow)
-        dw = np.einsum("nol,nkl->ok", g, cols).reshape(w.shape)
-        dx = _col2im(np.matmul(wf.T, g), x.shape, kh, kw, stride, padding, oh, ow)
+        dx = dw = None
+        if x.requires_grad:
+            dx = _col2im(np.matmul(wf.T, g), x.shape, kh, kw, stride, padding,
+                         oh, ow)
+        if w.requires_grad:
+            dw = np.einsum("nol,nkl->ok", g, cols).reshape(w.shape)
         return dx, dw
     return _node(np.matmul(wf, cols).reshape(n, o, oh, ow), (x, w), backward)
 
@@ -355,7 +400,13 @@ def max_pool2(x: Tensor) -> Tensor:
 
 
 class Adam:
-    """Adam bound to a list of parameter tensors, updating them in place.
+    """Adam over one flat float64 buffer that holds every parameter.
+
+    The constructor copies the parameters into ``flat`` and rebinds each
+    ``param.data`` to a view of it, so ``step`` is a few vectorized ops
+    on one array; the moments ``m`` and ``v`` are flat as well. A
+    parameter may be listed only once, because two views of one tensor
+    would alias.
 
     L2 weight decay is folded into the gradient before the moment
     updates (grad += weight_decay * param), the classic coupled form.
@@ -372,13 +423,24 @@ class Adam:
         if eps <= 0.0 or lr < 0.0 or weight_decay < 0.0:
             raise ValidationError("lr and weight_decay must be >= 0 and eps > 0")
         self.params = list(params)
+        if not self.params:
+            raise ValidationError("Adam needs at least one parameter")
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValidationError("a parameter is listed twice")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.m = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
-        self.v = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
+        self.flat = np.empty(sum(p.size for p in self.params), dtype=np.float64)
+        start = 0
+        for p in self.params:
+            view = self.flat[start:start + p.size].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+            start += p.size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
         self.step_count = 0
 
     def zero_grad(self) -> None:
@@ -386,25 +448,37 @@ class Adam:
             p.grad = None
 
     def step(self) -> None:
-        """One Adam update of every parameter, in place."""
+        """One Adam update of every parameter, in place.
+
+        Raises NonFiniteError, with no state changed, when a gradient is
+        non-finite, and after the update when a parameter became so.
+        """
+        grads = []
+        for p in self.params:
+            g = p.grad
+            if g is None:
+                g = np.zeros(p.size)
+            elif g.shape != p.shape:
+                raise ShapeError(f"grad shape {g.shape} does not match param {p.shape}")
+            grads.append(g.ravel())
+        g = np.concatenate(grads)
+        if not np.isfinite(g).all():
+            raise NonFiniteError("gradient contains non-finite values")
         beta1, beta2, eps = self.beta1, self.beta2, self.eps
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - beta1 ** t
         c2 = 1.0 - beta2 ** t
-        for param, m, v in zip(self.params, self.m, self.v):
-            p, g = param.data, param.grad
-            if g is None:
-                g = np.zeros_like(p)
-            if g.shape != p.shape:
-                raise ShapeError(f"grad shape {g.shape} does not match param {p.shape}")
-            if self.weight_decay:
-                g = g + self.weight_decay * p
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        p, m, v = self.flat, self.m, self.v
+        if self.weight_decay:
+            g += self.weight_decay * p
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        if not np.isfinite(p).all():
+            raise NonFiniteError("parameters became non-finite after the update")
 
 
 def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor], *,

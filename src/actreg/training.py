@@ -25,7 +25,7 @@ from .objective import (activation_energy, dataset_activation_energy,
 from .power import energy_per_correct, integrate, live_source
 from .records import ExperimentRecord
 from .rng import split_streams
-from .tensor import Adam, softmax_cross_entropy
+from .tensor import Adam, no_grad, softmax_cross_entropy
 
 
 @dataclass(frozen=True)
@@ -82,22 +82,29 @@ def _eval_objective(model: Model, x: np.ndarray, y: np.ndarray, lam: float,
                     batch_size: int = 256) -> float:
     """Mean objective over a dataset, weighted exactly by batch sizes."""
     total = 0.0
-    for start in range(0, x.shape[0], batch_size):
-        xb, yb = x[start:start + batch_size], y[start:start + batch_size]
-        total += _batch_objective(model, xb, yb, lam).item() * xb.shape[0]
+    with no_grad():
+        for start in range(0, x.shape[0], batch_size):
+            xb, yb = x[start:start + batch_size], y[start:start + batch_size]
+            total += _batch_objective(model, xb, yb, lam).item() * xb.shape[0]
     return total / x.shape[0]
 
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray,
              batch_size: int = 256) -> tuple[float, float, int]:
-    """Accuracy, mean cross-entropy, and the correct-prediction count."""
+    """Accuracy, mean cross-entropy, and the correct-prediction count.
+
+    Raises NonFiniteError when the cross-entropy is not finite.
+    """
     correct = 0
     ce_total = 0.0
-    for start in range(0, x.shape[0], batch_size):
-        xb, yb = x[start:start + batch_size], y[start:start + batch_size]
-        trace = forward_traced(model, xb)
-        correct += int(np.sum(trace.logits.data.argmax(axis=1) == yb))
-        ce_total += softmax_cross_entropy(trace.logits, yb).item() * xb.shape[0]
+    with no_grad():
+        for start in range(0, x.shape[0], batch_size):
+            xb, yb = x[start:start + batch_size], y[start:start + batch_size]
+            trace = forward_traced(model, xb)
+            correct += int(np.sum(trace.logits.data.argmax(axis=1) == yb))
+            ce_total += softmax_cross_entropy(trace.logits, yb).item() * xb.shape[0]
+    if not np.isfinite(ce_total):
+        raise NonFiniteError("evaluation cross-entropy is non-finite")
     n = x.shape[0]
     return correct / n, ce_total / n, correct
 
@@ -105,8 +112,9 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray,
 def train(config: RunConfig, data: DatasetHandle) -> tuple[Model, ExperimentRecord]:
     """Train one model and return it with its fully populated record.
 
-    Divergence (a non-finite loss) aborts the run; the record then has
-    status "diverged" and null test metrics instead of raising.
+    Divergence (a non-finite loss, gradient or updated parameter) aborts
+    the run; the record then has status "diverged" and null test metrics
+    instead of raising.
     """
     spec = config.model
     if spec.input_dim != data.input_dim:

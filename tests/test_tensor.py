@@ -11,7 +11,7 @@ from actreg.models import ModelSpec, build_model, forward_traced
 from actreg.objective import activation_energy, regularized_loss
 from actreg.rng import make_generator
 from actreg.tensor import (Adam, Tensor, add_bias, concat, conv2d, grad_check,
-                           matmul, max_pool2, relu, sigmoid, softmax,
+                           matmul, max_pool2, no_grad, relu, sigmoid, softmax,
                            softmax_cross_entropy, tanh)
 
 
@@ -47,6 +47,19 @@ def test_sigmoid_extreme_inputs_stay_finite():
     out = sigmoid(_leaf([-1000.0, 1000.0]))
     assert np.all(np.isfinite(out.data))
     assert out.data[0] >= 0.0 and out.data[1] <= 1.0
+
+
+def test_sigmoid_matches_split_by_sign_reference():
+    # the reference evaluates each sign's stable form on its own subset
+    z = np.concatenate([make_generator(4).normal(size=200) * 30.0,
+                        [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300]])
+    ref = np.empty_like(z)
+    pos = z >= 0
+    ref[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    ref[~pos] = ez / (1.0 + ez)
+    out = sigmoid(_leaf(z)).data
+    np.testing.assert_array_equal(out, ref)
 
 
 def test_relu_and_tanh_values():
@@ -201,6 +214,59 @@ def test_constructor_rejects_non_finite():
         Tensor(np.array([1.0, np.inf]))
     with pytest.raises(NonFiniteError):
         Tensor(np.array([np.nan]))
+
+
+def test_op_outputs_are_not_checked_for_finiteness():
+    # finiteness is checked at state boundaries: an overflow that a later
+    # op saturates away leaves a finite result
+    x = _leaf([1e308])
+    with np.errstate(over="ignore"):
+        scaled = x * 10.0
+    assert np.isinf(scaled.data[0])
+    np.testing.assert_array_equal(tanh(scaled).data, [1.0])
+
+
+def test_no_grad_builds_no_graph():
+    model = build_model(ModelSpec("bimodal", 6, 8, 3, glia_ratio=0.5), seed=0)
+    x = make_generator(1).normal(size=(5, 6))
+    with no_grad():
+        trace = forward_traced(model, x)
+    for t in [trace.logits, *trace.hidden_activations]:
+        assert t._parents == () and t._backward is None
+        assert not t.requires_grad
+    graph = forward_traced(model, x)
+    np.testing.assert_array_equal(trace.logits.data, graph.logits.data)
+    assert graph.logits._parents
+
+
+def test_no_grad_restores_the_previous_mode():
+    a = _leaf([1.0])
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside the block")
+    assert (a * 2.0).requires_grad
+    with no_grad():
+        with no_grad():
+            pass
+        assert not (a * 2.0).requires_grad
+    assert (a * 2.0)._parents == (a,)
+
+
+def test_data_inputs_get_no_gradient():
+    # the first layer of every model multiplies data that needs no
+    # gradient; its weight gradient is the same as with a leaf input
+    gen = make_generator(8)
+    xd, wd = gen.normal(size=(4, 3)), gen.normal(size=(3, 2))
+    xi, wi = gen.normal(size=(2, 2, 5, 5)), gen.normal(size=(3, 2, 3, 3))
+    for op, xv, wv in ((matmul, xd, wd),
+                       (lambda x, w: conv2d(x, w, padding=1), xi, wi)):
+        data, w = Tensor(xv), _leaf(wv)
+        (op(data, w) * op(data, w)).sum().backward()
+        leaf, w_ref = _leaf(xv), _leaf(wv)
+        (op(leaf, w_ref) * op(leaf, w_ref)).sum().backward()
+        assert data.grad is None
+        assert leaf.grad is not None
+        np.testing.assert_array_equal(w.grad, w_ref.grad)
 
 
 def test_shape_errors_name_both_shapes():
@@ -369,6 +435,10 @@ def test_adam_validates_inputs():
         Adam([p], lr=-1e-3)
     with pytest.raises(ValidationError):
         Adam([p], weight_decay=-0.1)
+    with pytest.raises(ValidationError):
+        Adam([])
+    with pytest.raises(ValidationError, match="twice"):
+        Adam([p, p])
     with pytest.raises(ShapeError):
         _adam_step(Adam([p]), np.ones(3))
 
@@ -387,3 +457,77 @@ def test_adam_class_descends_a_quadratic():
         (x * x).sum().backward()
         opt.step()
     assert abs(x.data[0]) < 0.1
+
+
+def _reference_adam(params, grads_per_step, lr, weight_decay,
+                    beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-tensor Adam, the update the flat buffer must reproduce."""
+    params = [p.copy() for p in params]
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        for p, m, v, g in zip(params, ms, vs, grads):
+            if g is None:
+                g = np.zeros_like(p)
+            if weight_decay:
+                g = g + weight_decay * p
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    return params
+
+
+def test_flat_adam_matches_per_tensor_reference():
+    gen = make_generator(21)
+    shapes = [(4, 3), (3,), (2, 1, 3, 3), ()]
+    init = [gen.normal(size=s) for s in shapes]
+    steps = [[gen.normal(size=s) for s in shapes] for _ in range(5)]
+    for grads in steps:
+        grads[1] = None  # one parameter never receives a gradient
+    params = [_leaf(a) for a in init]
+    opt = Adam(params, lr=1e-2, weight_decay=1e-3)
+    for grads in steps:
+        _adam_step(opt, *grads)
+    expect = _reference_adam(init, steps, lr=1e-2, weight_decay=1e-3)
+    for p, e in zip(params, expect):
+        np.testing.assert_array_equal(p.data, e)
+
+
+def test_adam_params_are_views_of_one_buffer():
+    gen = make_generator(22)
+    params = [_leaf(gen.normal(size=(3, 2))), _leaf(gen.normal(size=4))]
+    values = [p.data.copy() for p in params]
+    opt = Adam(params)
+    assert opt.flat.size == 10
+    for p, v in zip(params, values):
+        assert p.data.base is opt.flat
+        np.testing.assert_array_equal(p.data, v)
+    opt.flat[:] = 0.0
+    assert all(not p.data.any() for p in params)
+
+
+def test_adam_rejects_non_finite_gradient_without_changing_state():
+    gen = make_generator(23)
+    params = [_leaf(gen.normal(size=(2, 2))), _leaf(gen.normal(size=3))]
+    opt = Adam(params, lr=1e-2, weight_decay=1e-3)
+    _adam_step(opt, np.ones((2, 2)), np.ones(3))
+    keep = [p.data.copy() for p in params]
+    m, v = opt.m.copy(), opt.v.copy()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteError):
+            _adam_step(opt, np.ones((2, 2)), np.array([1.0, bad, 1.0]))
+        for p, k in zip(params, keep):
+            np.testing.assert_array_equal(p.data, k)
+        np.testing.assert_array_equal(opt.m, m)
+        np.testing.assert_array_equal(opt.v, v)
+        assert opt.step_count == 1
+
+
+def test_adam_rejects_parameters_that_overflow():
+    p = _leaf([-1e308])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError, match="parameters"):
+            _adam_step(Adam([p], lr=1e308), np.ones(1))

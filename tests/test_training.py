@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from actreg.datasets import synth_blobs
-from actreg.errors import ValidationError
+from actreg.errors import NonFiniteError, ValidationError
 from actreg.models import ModelSpec, build_model, forward_traced
-from actreg.training import (RunConfig, evaluate, hardware_descriptor,
-                             seed_protocol, train)
+from actreg.objective import (activation_energy, dataset_activation_energy,
+                              regularized_loss)
+from actreg.tensor import softmax_cross_entropy
+from actreg.training import (RunConfig, _eval_objective, evaluate,
+                             hardware_descriptor, seed_protocol, train)
 
 DATA = synth_blobs(classes=3, dim=8, n_per_class=40, separation=3.0, seed=7)
 
@@ -90,6 +93,58 @@ def test_divergence_is_reported_not_raised():
     assert rec.test_loss is None
     assert rec.activation_energy is None
     assert rec.epochs_run >= 0
+
+
+@pytest.mark.parametrize("arch", ["mlp", "bimodal", "physics"])
+def test_overflow_behind_saturation_still_diverges(arch):
+    # features near float max overflow the first layer; tanh and sigmoid
+    # saturate what they see, yet the run must still report divergence
+    huge = dataclasses.replace(DATA, train_x=DATA.train_x * 1e306,
+                               test_x=DATA.test_x * 1e306)
+    spec = ModelSpec(arch, 8, 12, 3,
+                     glia_ratio=1.0 if arch == "bimodal" else None)
+    _, rec = train(_config(model=spec), huge)
+    assert rec.status == "diverged"
+    assert rec.test_accuracy is None
+
+
+def test_evaluation_builds_no_graph_and_matches_a_graph_forward(monkeypatch):
+    import actreg.objective
+    import actreg.training
+    traces = []
+
+    def recording_forward(model, batch):
+        traces.append(forward_traced(model, batch))
+        return traces[-1]
+    monkeypatch.setattr(actreg.training, "forward_traced", recording_forward)
+    monkeypatch.setattr(actreg.objective, "forward_traced", recording_forward)
+    model = build_model(ModelSpec("physics", 8, 12, 3), seed=3)
+    x, y = DATA.test_x, DATA.test_y
+    trace = forward_traced(model, x)  # one batch, with a graph
+    ce = softmax_cross_entropy(trace.logits, y)
+    energy = activation_energy(trace)
+    assert trace.logits.requires_grad
+    correct = int(np.sum(trace.logits.data.argmax(axis=1) == y))
+    n = len(y)  # under 256 rows: one batch, weighted by n and divided back
+    assert evaluate(model, x, y) == (correct / n, ce.item() * n / n, correct)
+    assert _eval_objective(model, x, y, 0.1) == \
+        regularized_loss(ce, energy, 0.1).item() * n / n
+    assert dataset_activation_energy(model, x) == \
+        pytest.approx(energy.item(), rel=1e-14)
+    assert all(p.grad is None for p in model.parameters())
+    assert len(traces) == 3
+    assert not any(t.logits.requires_grad or a.requires_grad
+                   for t in traces for a in t.hidden_activations)
+
+
+def test_evaluation_rejects_non_finite_results():
+    model = build_model(ModelSpec("mlp", 8, 12, 3), seed=3)
+    model.params["hidden1_w"].data[...] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            evaluate(model, DATA.test_x, DATA.test_y)
+        with pytest.raises(NonFiniteError):
+            dataset_activation_energy(model, DATA.test_x)
 
 
 def test_dim_mismatch_is_rejected():
