@@ -8,9 +8,12 @@ report (render summary tables).
 Exit codes: 0 success, 1 validation or configuration error, 2 runtime
 divergence or a failed numerical check, 3 I/O or parse failure.
 
-Settings resolve in precedence order: built-in defaults, then the
-config file, then the ACTREG_SEED environment variable (seed only),
-then explicit flags.
+run and sweep share one settings table: run takes every key, sweep
+only the dataset, model and optimizer keys. A key a subcommand does
+not take is an error, as a flag or in its config file. Settings
+resolve in precedence order: built-in defaults, then the config file,
+then the ACTREG_SEED environment variable (run's seed only), then
+explicit flags.
 """
 
 from __future__ import annotations
@@ -20,63 +23,55 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import analyze_records, parameter_count_table
 from .datasets import DatasetHandle, load_idx_dataset, synth_blobs
 from .errors import NonFiniteError, ParseError, ValidationError
-from .models import ModelSpec, build_model, forward_traced
-from .objective import activation_energy, regularized_loss
+from .models import ModelSpec, build_model
 from .records import load_records, save_record
 from .rng import make_generator
 from .sweep import DEFAULT_LAMBDAS, load_sweep, run_lambda_sweep, save_sweep
-from .tensor import grad_check, softmax_cross_entropy
-from .training import RunConfig, train
+from .tensor import grad_check
+from .training import RunConfig, _batch_objective, train
 
 SEED_ENV = "ACTREG_SEED"
 
-# Config-file keys, their types, and run defaults. Flags use the same
-# names with dashes; the telemetry pair keeps its dotted form in files.
-_DEFAULTS: dict[str, object] = {
-    "arch": "mlp", "hidden_dim": 64, "glia_ratio": None, "dense_dim": 128,
-    "conv_channels": (8, 16), "dataset": "synth", "dataset_name": None,
-    "data_dir": None, "classes": 4, "feature_dim": 32, "per_class": 250,
-    "separation": 1.0, "dataset_seed": 7, "lr": 1e-3, "batch_size": 32,
-    "max_epochs": 50, "patience": 10, "weight_decay": 1e-5, "lambda": 0.0,
-    "seed": 42, "val_fraction": 0.1, "records_dir": "records",
-    "telemetry.command": None, "telemetry.hz": 1.0,
+
+def _int_pair(raw: str) -> tuple[int, int]:
+    parts = [int(p) for p in raw.split(",")]
+    if len(parts) != 2:
+        raise ValueError("expected two integers")
+    return tuple(parts)
+
+
+# Every setting's type and default. Flags use the same names with
+# dashes; the telemetry pair keeps its dotted form in config files.
+_SETTINGS: dict[str, tuple[object, object]] = {
+    "arch": (str, "mlp"), "hidden_dim": (int, 64), "glia_ratio": (float, None),
+    "dense_dim": (int, 128), "conv_channels": (_int_pair, (8, 16)),
+    "dataset": (str, "synth"), "dataset_name": (str, None),
+    "data_dir": (str, None), "classes": (int, 4), "feature_dim": (int, 32),
+    "per_class": (int, 250), "separation": (float, 1.0),
+    "dataset_seed": (int, 7), "lr": (float, 1e-3), "batch_size": (int, 32),
+    "max_epochs": (int, 50), "patience": (int, 10),
+    "weight_decay": (float, 1e-5), "lambda": (float, 0.0), "seed": (int, 42),
+    "val_fraction": (float, 0.1), "records_dir": (str, "records"),
+    "telemetry.command": (str, None), "telemetry.hz": (float, 1.0),
 }
 
-_TYPES: dict[str, object] = {
-    "arch": str, "hidden_dim": int, "glia_ratio": float, "dense_dim": int,
-    "conv_channels": "int_pair", "dataset": str, "dataset_name": str,
-    "data_dir": str, "classes": int, "feature_dim": int, "per_class": int,
-    "separation": float, "dataset_seed": int, "lr": float, "batch_size": int,
-    "max_epochs": int, "patience": int, "weight_decay": float, "lambda": float,
-    "seed": int, "val_fraction": float, "records_dir": str,
-    "telemetry.command": str, "telemetry.hz": float,
-}
+# The keys each subcommand takes: its flags, its config-file keys and,
+# through "seed", whether ACTREG_SEED applies.
+_RUN_KEYS = tuple(_SETTINGS)
+_SWEEP_KEYS = ("arch", "hidden_dim", "glia_ratio", "dense_dim",
+               "conv_channels", "dataset", "dataset_name", "data_dir",
+               "classes", "feature_dim", "per_class", "separation",
+               "dataset_seed", "lr", "batch_size", "weight_decay")
 
 
-def _coerce(key: str, raw: str):
-    kind = _TYPES[key]
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "int_pair":
-            parts = [int(p) for p in raw.split(",")]
-            if len(parts) != 2:
-                raise ValueError("expected two integers")
-            return tuple(parts)
-    except ValueError as exc:
-        raise ValidationError(f"config key {key!r}: {exc}") from None
-    return raw
+def parse_config(path, keys=_RUN_KEYS) -> dict[str, object]:
+    """Read a flat ``key = value`` config file; # starts a comment.
 
-
-def parse_config(path) -> dict[str, object]:
-    """Read a flat ``key = value`` config file; # starts a comment."""
+    A key outside ``keys`` is a ValidationError that names it.
+    """
     settings: dict[str, object] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -89,27 +84,30 @@ def parse_config(path) -> dict[str, object]:
         if "=" not in line:
             raise ParseError("expected key = value", line=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _TYPES:
-            raise ValidationError(f"unknown config key {key!r} "
+        if key not in keys:
+            scope = "run-only" if key in _SETTINGS else "unknown"
+            raise ValidationError(f"{scope} config key {key!r} "
                                   f"(line {lineno})")
-        settings[key] = _coerce(key, value)
+        try:
+            settings[key] = _SETTINGS[key][0](value)
+        except ValueError as exc:
+            raise ValidationError(f"config key {key!r}: {exc}") from None
     return settings
 
 
-def _resolve_settings(args: argparse.Namespace) -> dict[str, object]:
-    settings = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        settings.update(parse_config(args.config))
+def _resolve_settings(args: argparse.Namespace, keys) -> dict[str, object]:
+    settings = {key: _SETTINGS[key][1] for key in keys}
+    if args.config:
+        settings.update(parse_config(args.config, keys))
     env_seed = os.environ.get(SEED_ENV)
-    if env_seed is not None:
+    if "seed" in keys and env_seed is not None:
         try:
             settings["seed"] = int(env_seed)
         except ValueError:
             raise ValidationError(f"{SEED_ENV} must be an integer, "
                                   f"got {env_seed!r}") from None
-    for key in _TYPES:
-        flag = key.replace(".", "_")
-        value = getattr(args, flag, None)
+    for key in keys:
+        value = getattr(args, key.replace(".", "_"))
         if value is not None:
             settings[key] = value
     return settings
@@ -134,27 +132,19 @@ def _make_spec(s: dict[str, object], data: DatasetHandle) -> ModelSpec:
     if s["arch"] == "bimodal" and glia is None:
         glia = 1.0
     return ModelSpec(s["arch"], data.input_dim, s["hidden_dim"], data.classes,
-                     glia_ratio=glia if s["arch"] == "bimodal" else None,
-                     conv_channels=tuple(s["conv_channels"]),
+                     glia_ratio=glia, conv_channels=s["conv_channels"],
                      dense_dim=s["dense_dim"])
 
 
-def _add_setting_flags(p: argparse.ArgumentParser, keys) -> None:
+def _add_settings(p: argparse.ArgumentParser, keys) -> None:
+    p.add_argument("--config", help="key = value settings file")
     for key in keys:
-        kind = _TYPES[key]
-        flag = "--" + key.replace(".", "-").replace("_", "-")
-        dest = key.replace(".", "_")
-        if kind in (int, float):
-            p.add_argument(flag, dest=dest, type=kind, default=None)
-        elif kind == "int_pair":
-            p.add_argument(flag, dest=dest, default=None,
-                           type=lambda raw: _coerce("conv_channels", raw))
-        else:
-            p.add_argument(flag, dest=dest, default=None)
+        p.add_argument("--" + key.replace(".", "-").replace("_", "-"),
+                       dest=key.replace(".", "_"), type=_SETTINGS[key][0])
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    s = _resolve_settings(args)
+    s = _resolve_settings(args, _RUN_KEYS)
     data = _make_dataset(s)
     spec = _make_spec(s, data)
     config = RunConfig(model=spec, lr=s["lr"], batch_size=s["batch_size"],
@@ -180,26 +170,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_floats(raw: str) -> list[float]:
+def _parse_list(kind, raw: str) -> list:
     try:
-        return [float(p) for p in raw.split(",") if p.strip()]
+        return [kind(p) for p in raw.split(",") if p.strip()]
     except ValueError as exc:
-        raise ValidationError(f"bad number list {raw!r}: {exc}") from None
-
-
-def _parse_ints(raw: str) -> list[int]:
-    try:
-        return [int(p) for p in raw.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"bad integer list {raw!r}: {exc}") from None
+        raise ValidationError(f"bad {kind.__name__} list {raw!r}: {exc}") from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    s = _resolve_settings(args)
+    s = _resolve_settings(args, _SWEEP_KEYS)
     data = _make_dataset(s)
     template = _make_spec(s, data)
-    lambdas = _parse_floats(args.lambdas) if args.lambdas else DEFAULT_LAMBDAS
-    seeds = _parse_ints(args.seeds) if args.seeds else [42, 123, 456]
+    lambdas = _parse_list(float, args.lambdas) if args.lambdas else DEFAULT_LAMBDAS
+    seeds = _parse_list(int, args.seeds) if args.seeds else [42, 123, 456]
     cell_records = [] if args.records_dir_out else None
     report = run_lambda_sweep(
         data, template, lambdas, seeds, lr=s["lr"],
@@ -221,12 +204,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-GRADCHECK_LAMBDAS = (0.0, 1e-3, 1e-1)
-
-
 def gradcheck_zoo(input_dim: int = 16, hidden_dim: int = 12,
                   output_dim: int = 4, batch: int = 4,
-                  lambdas=GRADCHECK_LAMBDAS, perturbation: float = 1e-6,
+                  lambdas=(0.0, 1e-3, 1e-1), perturbation: float = 1e-6,
                   seed: int = 7) -> list[tuple[str, float, float]]:
     """Finite-difference check of every architecture at desk scale.
 
@@ -247,20 +227,21 @@ def gradcheck_zoo(input_dim: int = 16, hidden_dim: int = 12,
     for spec in specs:
         for lam in lambdas:
             model = build_model(spec, gen)
-            def loss_fn():
-                trace = forward_traced(model, x)
-                ce = softmax_cross_entropy(trace.logits, y)
-                return regularized_loss(ce, activation_energy(trace), lam)
-            err = grad_check(loss_fn, model.parameters(),
+            err = grad_check(lambda: _batch_objective(model, x, y, lam),
+                             model.parameters(),
                              perturbation=perturbation, rng=gen)
             results.append((spec.arch, lam, err))
     return results
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    results = gradcheck_zoo(args.input_dim, args.hidden_dim, args.output_dim,
-                            args.batch, _parse_floats(args.lambdas),
-                            args.perturbation, args.seed)
+    # flags left unset are absent from args, so gradcheck_zoo's own
+    # defaults apply
+    zoo = {k: v for k, v in vars(args).items()
+           if k not in ("command", "func", "threshold")}
+    if "lambdas" in zoo:
+        zoo["lambdas"] = _parse_list(float, zoo["lambdas"])
+    results = gradcheck_zoo(**zoo)
     worst = 0.0
     for arch, lam, err in results:
         ok = "ok" if err < args.threshold else "FAIL"
@@ -270,20 +251,24 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if worst < args.threshold else 2
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def _analyze(args: argparse.Namespace):
     records, issues = load_records(args.records)
     for issue in issues:
         print(f"warning: skipped {issue}", file=sys.stderr)
-    tables = analyze_records(records, response=args.response)
-    print("\n\n".join(t.to_text() for t in tables))
+    return analyze_records(records, response=args.response)
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    tables = _analyze(args)
+    text = "\n\n".join(t.to_text() for t in tables)
+    print(text)
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for t in tables:
             stem = "".join(c if c.isalnum() else "_" for c in t.title).strip("_")
             (out / f"{stem}.csv").write_text(t.to_csv(), encoding="utf-8")
-        (out / "summary.txt").write_text(
-            "\n\n".join(t.to_text() for t in tables) + "\n", encoding="utf-8")
+        (out / "summary.txt").write_text(text + "\n", encoding="utf-8")
         print(f"tables written to {out}", file=sys.stderr)
     return 0
 
@@ -303,11 +288,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     # anova
     if not args.records:
         raise ValidationError("report anova needs --records DIR")
-    records, issues = load_records(args.records)
-    for issue in issues:
-        print(f"warning: skipped {issue}", file=sys.stderr)
-    tables = analyze_records(records, response=args.response)
-    print(tables[0].to_text())
+    print(_analyze(args)[0].to_text())
     return 0
 
 
@@ -318,12 +299,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="train one model and persist its record")
-    p_run.add_argument("--config", default=None, help="key = value settings file")
-    _add_setting_flags(p_run, _TYPES)
+    _add_settings(p_run, _RUN_KEYS)
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="train a lambda grid and summarize")
-    p_sweep.add_argument("--config", default=None)
+    # no abbreviations: run-only flags such as --seed, --lambda and
+    # --records-dir are prefixes of --seeds, --lambdas and
+    # --records-dir-out, so they must fail rather than set the grid
+    p_sweep = sub.add_parser("sweep", help="train a lambda grid and summarize",
+                             allow_abbrev=False)
+    _add_settings(p_sweep, _SWEEP_KEYS)
     p_sweep.add_argument("--lambdas", default=None,
                          help="comma-separated grid, must include 0")
     p_sweep.add_argument("--seeds", default=None, help="comma-separated seeds")
@@ -331,25 +315,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None, help="write the report JSON here")
     p_sweep.add_argument("--records-dir-out", default=None,
                          help="also save every cell's experiment record")
-    _add_setting_flags(p_sweep, [k for k in _TYPES
-                                 if k not in ("max_epochs", "patience")])
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_grad = sub.add_parser("gradcheck",
-                            help="finite-difference check of the model zoo")
-    p_grad.add_argument("--input-dim", type=int, default=16)
-    p_grad.add_argument("--hidden-dim", type=int, default=12)
-    p_grad.add_argument("--output-dim", type=int, default=4)
-    p_grad.add_argument("--batch", type=int, default=4)
-    p_grad.add_argument("--lambdas", default="0,1e-3,1e-1")
-    p_grad.add_argument("--perturbation", type=float, default=1e-6)
+                            help="finite-difference check of the model zoo",
+                            argument_default=argparse.SUPPRESS)
+    p_grad.add_argument("--input-dim", type=int)
+    p_grad.add_argument("--hidden-dim", type=int)
+    p_grad.add_argument("--output-dim", type=int)
+    p_grad.add_argument("--batch", type=int)
+    p_grad.add_argument("--lambdas")
+    p_grad.add_argument("--perturbation", type=float)
     p_grad.add_argument("--threshold", type=float, default=1e-4)
-    p_grad.add_argument("--seed", type=int, default=7)
+    p_grad.add_argument("--seed", type=int)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_an = sub.add_parser("analyze", help="statistics over a record directory")
     p_an.add_argument("--records", required=True)
-    p_an.add_argument("--response", default="test_accuracy")
     p_an.add_argument("--out-dir", default=None,
                       help="write CSV tables and a text summary here")
     p_an.set_defaults(func=cmd_analyze)
@@ -359,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--hidden-dim", type=int, default=1024)
     p_rep.add_argument("--in", dest="infile", default=None)
     p_rep.add_argument("--records", default=None)
-    p_rep.add_argument("--response", default="test_accuracy")
     p_rep.set_defaults(func=cmd_report)
+    for p in (p_an, p_rep):  # analyze and report anova share _analyze
+        p.add_argument("--response", default="test_accuracy")
     return parser
 
 
@@ -371,10 +354,7 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NonFiniteError as exc:

@@ -11,14 +11,14 @@ dataset.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .datasets import DatasetHandle
 from .errors import ParseError, ValidationError
-from .models import ModelSpec
+from .models import ModelSpec, spec_with_dims
 from .records import ExperimentRecord
 from .training import RunConfig, train
 
@@ -121,9 +121,7 @@ def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
     seeds = [int(s) for s in seeds]
     if not seeds or len(set(seeds)) != len(seeds):
         raise ValidationError("seeds must be nonempty and distinct")
-    if template.input_dim != data.input_dim or template.output_dim != data.classes:
-        template = replace(template, input_dim=data.input_dim,
-                           output_dim=data.classes)
+    template = spec_with_dims(template, data.input_dim, data.classes)
 
     report = SweepReport(dataset=data.name, architecture=template.arch,
                          hidden_dim=template.hidden_dim, epochs=epochs,

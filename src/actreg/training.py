@@ -112,9 +112,10 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray,
 def train(config: RunConfig, data: DatasetHandle) -> tuple[Model, ExperimentRecord]:
     """Train one model and return it with its fully populated record.
 
-    Divergence (a non-finite loss, gradient or updated parameter) aborts
-    the run; the record then has status "diverged" and null test metrics
-    instead of raising.
+    Divergence (a non-finite loss, gradient or updated parameter, or a
+    non-finite test-split evaluation) aborts the run; the record then
+    has status "diverged" and null test metrics instead of raising. The
+    telemetry session is stopped on every path out of the run.
     """
     spec = config.model
     if spec.input_dim != data.input_dim:
@@ -138,17 +139,17 @@ def train(config: RunConfig, data: DatasetHandle) -> tuple[Model, ExperimentReco
     fit_x, fit_y = data.train_x[fit_idx], data.train_y[fit_idx]
     val_x, val_y = data.train_x[val_idx], data.train_y[val_idx]
 
-    session = None
-    if config.telemetry_command:
-        session = live_source(config.telemetry_command, config.telemetry_hz)
+    session = live_source(config.telemetry_command, config.telemetry_hz)
+    if session:
         session.start()
 
     status = "ok"
     epochs_run = 0
     best_val = np.inf
     stale = 0
-    # overflow during optimization is detected via NonFiniteError and
-    # reported in the record; numpy need not also warn about it
+    # overflow during optimization or testing is detected via
+    # NonFiniteError and reported in the record; numpy need not also
+    # warn about it
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for epoch in range(config.max_epochs):
@@ -179,25 +180,22 @@ def train(config: RunConfig, data: DatasetHandle) -> tuple[Model, ExperimentReco
                     stale += 1
                     if stale >= config.patience:
                         break
+            if session:
+                session.set_phase("testing")
+            accuracy, loss_ce, correct = evaluate(model, data.test_x, data.test_y)
+            act_energy = dataset_activation_energy(model, data.test_x)
     except NonFiniteError:
         status = "diverged"
-
-    accuracy = loss_ce = act_energy = None
-    correct = 0
-    if status == "ok":
-        if session:
-            session.set_phase("testing")
-        accuracy, loss_ce, correct = evaluate(model, data.test_x, data.test_y)
-        act_energy = dataset_activation_energy(model, data.test_x)
+        accuracy = loss_ce = act_energy = None
+    finally:
+        samples = session.stop() if session else []
 
     energy_mj = energy_per_corr = None
-    if session is not None:
-        samples = session.stop()
-        if session.available and len(samples) >= 2:
-            report = integrate(samples)
-            energy_mj = 1000.0 * report.joules
-            if status == "ok":
-                energy_per_corr = energy_per_correct(report.joules, correct)
+    if session and session.available and len(samples) >= 2:
+        report = integrate(samples)
+        energy_mj = 1000.0 * report.joules
+        if status == "ok":
+            energy_per_corr = energy_per_correct(report.joules, correct)
 
     record = ExperimentRecord(
         architecture=spec.arch,

@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
-import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
-from actreg.cli import main, parse_config
+from actreg.cli import build_parser, main, parse_config
 from actreg.errors import ParseError, ValidationError
 from actreg.records import load_records
 from actreg.sweep import load_sweep
@@ -108,7 +109,8 @@ def test_config_telemetry_keys(tmp_path):
     assert parsed["telemetry.hz"] == 4.0
 
 
-def test_sweep_writes_report_and_cell_records(tmp_path, capsys):
+def test_sweep_writes_report_and_cell_records(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ACTREG_SEED", "not-a-seed")  # applies to run only
     out_json = tmp_path / "sweep.json"
     code = _run("sweep", "--classes", "3", "--feature-dim", "6",
                 "--per-class", "30", "--hidden-dim", "8", "--epochs", "1",
@@ -125,6 +127,38 @@ def test_sweep_writes_report_and_cell_records(tmp_path, capsys):
     regular, _ = load_records(tmp_path / "cells" / "lam_0.01")
     assert len(baseline) == 2 and len(regular) == 2
     assert {r.seed for r in baseline} == {42, 123}
+
+
+RUN_ONLY = {"--lambda": "lambda", "--seed": "seed",
+            "--val-fraction": "val_fraction", "--records-dir": "records_dir",
+            "--telemetry-command": "telemetry.command",
+            "--telemetry-hz": "telemetry.hz"}
+SMALL_SWEEP = ["sweep", "--classes", "3", "--feature-dim", "6",
+               "--per-class", "30", "--hidden-dim", "8", "--epochs", "1",
+               "--lambdas", "0,1e-2", "--seeds", "42"]
+
+
+@pytest.mark.parametrize("flag", RUN_ONLY)
+def test_sweep_rejects_run_only_flags(flag, capsys):
+    # --seed, --lambda and --records-dir are prefixes of sweep's own
+    # flags; they must not be taken as abbreviations of them
+    assert _run(*SMALL_SWEEP, flag, "1") == 1
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", RUN_ONLY.values())
+def test_sweep_rejects_run_only_config_keys(key, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"hidden_dim = 8\n{key} = 1\n")
+    assert _run(*SMALL_SWEEP, "--config", str(cfg)) == 1
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_glia_ratio_reaches_model_validation(tmp_path, capsys):
+    assert _run(*SMALL_RUN, "--arch", "mlp", "--glia-ratio", "0.5",
+                "--records-dir", str(tmp_path)) == 1
+    assert "glia_ratio" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_rejects_grid_without_zero(capsys):
@@ -213,3 +247,18 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "architecture" in result.stdout
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    lines = [shlex.split(line, comments=True)[1:]
+             for line in readme.replace("\\\n", " ").splitlines()
+             if line.startswith("actreg ")]
+    assert len(lines) >= 7
+    parser = build_parser()
+    for argv in lines:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: actreg {shlex.join(argv)}")

@@ -1,7 +1,6 @@
 """Training harness: determinism, early stopping, divergence, telemetry."""
 
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from actreg.errors import NonFiniteError, ValidationError
 from actreg.models import ModelSpec, build_model, forward_traced
 from actreg.objective import (activation_energy, dataset_activation_energy,
                               regularized_loss)
+from actreg.power import live_source
 from actreg.tensor import softmax_cross_entropy
 from actreg.training import (RunConfig, _eval_objective, evaluate,
                              hardware_descriptor, seed_protocol, train)
@@ -28,6 +28,9 @@ def _config(**overrides):
 
 
 VOLATILE = ("training_duration_seconds", "hardware")
+
+# a wattage meter that starts in milliseconds: no interpreter to boot
+FAST_METER = "echo 50.0"
 
 
 def _stable(record):
@@ -108,6 +111,39 @@ def test_overflow_behind_saturation_still_diverges(arch):
     assert rec.test_accuracy is None
 
 
+def test_non_finite_test_split_is_reported_as_diverged():
+    # training and validation stay finite; only testing overflows
+    huge_test = dataclasses.replace(DATA, test_x=DATA.test_x * 1e306)
+    _, rec = train(_config(), huge_test)
+    assert rec.status == "diverged"
+    assert rec.epochs_run == 4
+    assert rec.test_accuracy is None
+    assert rec.test_loss is None
+    assert rec.activation_energy is None
+    assert rec.energy_mj_per_correct is None
+
+
+def test_telemetry_session_stops_on_every_path(monkeypatch):
+    import actreg.training
+    sessions = []
+
+    def capturing(command, hz):
+        sessions.append(live_source(command, hz))
+        return sessions[-1]
+    monkeypatch.setattr(actreg.training, "live_source", capturing)
+    huge_test = dataclasses.replace(DATA, test_x=DATA.test_x * 1e306)
+    _, rec = train(_config(telemetry_command=FAST_METER), huge_test)
+    assert rec.status == "diverged"
+
+    def failing_evaluate(*args, **kwargs):
+        raise RuntimeError("evaluation failed")
+    monkeypatch.setattr(actreg.training, "evaluate", failing_evaluate)
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        train(_config(telemetry_command=FAST_METER), DATA)
+    assert len(sessions) == 2
+    assert not any(s._thread.is_alive() for s in sessions)
+
+
 def test_evaluation_builds_no_graph_and_matches_a_graph_forward(monkeypatch):
     import actreg.objective
     import actreg.training
@@ -186,10 +222,11 @@ def test_evaluate_counts_correct():
 
 
 def test_telemetry_populates_energy_fields():
-    # the run must outlast a few poll cycles for energy to integrate
-    cmd = f"{sys.executable} -c \"print(50.0)\""
+    # energy integrates only from two samples on; a meter that starts in
+    # milliseconds polled at 100 Hz takes them within the first ~15 ms
+    # of a run that lasts well over 100 ms
     config = _config(max_epochs=60, patience=60,
-                     telemetry_command=cmd, telemetry_hz=50.0)
+                     telemetry_command=FAST_METER, telemetry_hz=100.0)
     _, rec = train(config, DATA)
     assert rec.status == "ok"
     # a 50 W meter polled through a short run still yields > 0 mJ
@@ -198,12 +235,13 @@ def test_telemetry_populates_energy_fields():
 
 
 def test_telemetry_failure_degrades_to_null():
-    config = _config(max_epochs=2,
-                     telemetry_command="no_such_power_meter --watts")
-    _, rec = train(config, DATA)
-    assert rec.status == "ok"
-    assert rec.energy_mj_total is None
-    assert rec.energy_mj_per_correct is None
+    # a blank command means no telemetry at all
+    for command in ("no_such_power_meter --watts", "   "):
+        config = _config(max_epochs=2, telemetry_command=command)
+        _, rec = train(config, DATA)
+        assert rec.status == "ok"
+        assert rec.energy_mj_total is None
+        assert rec.energy_mj_per_correct is None
 
 
 def test_seed_protocol_is_published():
