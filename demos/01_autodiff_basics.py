@@ -5,7 +5,7 @@ import numpy as np
 
 from actreg import Tensor, grad_check
 from actreg.rng import make_generator
-from actreg.tensor import add_bias, sigmoid
+from actreg.tensor import linear, sigmoid
 
 gen = make_generator(0)
 
@@ -15,7 +15,7 @@ x = Tensor(gen.normal(size=(5, 3)), requires_grad=True)
 w = Tensor(gen.normal(size=(3, 2)), requires_grad=True)
 b = Tensor(np.zeros(2), requires_grad=True)
 
-y = sigmoid(add_bias(x @ w, b)).sum() * 0.1
+y = sigmoid(linear(x, w, b)).sum() * 0.1
 y.backward()
 
 print("y     =", y.item())
@@ -24,7 +24,7 @@ print("dy/db =", b.grad)
 
 # the same graph, checked numerically: nudge every coordinate of every
 # input and compare the measured slope against the analytic gradient
-err = grad_check(lambda: sigmoid(add_bias(x @ w, b)).sum() * 0.1,
+err = grad_check(lambda: sigmoid(linear(x, w, b)).sum() * 0.1,
                  [x, w, b], perturbation=1e-6)
 print(f"max relative gradient error: {err:.2e}")
 

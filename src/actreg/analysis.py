@@ -67,7 +67,11 @@ def _usable(records: list[ExperimentRecord], response: str) -> list[ExperimentRe
     out = [r for r in records
            if r.status == "ok" and getattr(r, response) is not None]
     if not out:
-        raise ValidationError(f"no completed records carry {response!r}")
+        if not records:
+            raise ValidationError("no records were found")
+        failed = sum(r.status != "ok" for r in records)
+        raise ValidationError(f"no completed records carry {response!r}: {failed} of "
+                              f"{len(records)} did not complete, the rest lack it")
     return out
 
 

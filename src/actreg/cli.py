@@ -196,10 +196,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         path = save_sweep(report, args.out)
         print(f"sweep report: {path}")
     if cell_records:
-        # one subdirectory per lambda: the record filename itself only
-        # carries arch/dataset/width/seed, so cells would collide
         for record in cell_records:
-            save_record(record, Path(args.records_dir_out) / f"lam_{record.lam:g}")
+            save_record(record, args.records_dir_out)
         print(f"cell records: {args.records_dir_out}")
     return 0
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .rng import Seed, make_generator
-from .tensor import (Tensor, add_bias, concat, conv2d, matmul, max_pool2,
-                     relu, sigmoid, tanh)
+from .tensor import (Tensor, concat, conv2d, linear, max_pool2, relu, sigmoid,
+                     tanh)
 
 ARCHITECTURES = ("bimodal", "physics", "mlp", "cnn")
 
@@ -219,7 +219,7 @@ def build_model(spec: ModelSpec, seed: Seed) -> Model:
 
 
 def _linear(x: Tensor, params: dict[str, Tensor], name: str) -> Tensor:
-    return add_bias(matmul(x, params[f"{name}_w"]), params[f"{name}_b"])
+    return linear(x, params[f"{name}_w"], params[f"{name}_b"])
 
 
 def forward_traced(model: Model, batch) -> ForwardTrace:
@@ -242,7 +242,7 @@ def forward_traced(model: Model, batch) -> ForwardTrace:
         g1 = tanh(_linear(x, p, "glial1"))
         g2 = tanh(_linear(g1, p, "glial2"))
         fused = concat([n2, g2], axis=1)
-        logits = add_bias(matmul(fused, p["integration_w"]), p["integration_b"])
+        logits = _linear(fused, p, "integration")
         return ForwardTrace(logits, [n1, n2, g1, g2])
     if arch == "physics":
         t1 = relu(_linear(x, p, "kinetic1"))
@@ -252,25 +252,23 @@ def forward_traced(model: Model, batch) -> ForwardTrace:
         c1 = sigmoid(_linear(x, p, "constraint1"))
         c2 = _linear(c1, p, "constraint2")
         fused = concat([t2, -v2, -c2], axis=1)
-        logits = add_bias(matmul(fused, p["head_w"]), p["head_b"])
+        logits = _linear(fused, p, "head")
         return ForwardTrace(logits, [t1, t2, v1, v2, c1, c2])
     if arch == "mlp":
         a1 = relu(_linear(x, p, "hidden1"))
         a2 = relu(_linear(a1, p, "hidden2"))
-        logits = add_bias(matmul(a2, p["output_w"]), p["output_b"])
+        logits = _linear(a2, p, "output")
         return ForwardTrace(logits, [a1, a2])
     # cnn
     c, s, _ = model.spec.image_shape
     img = x.reshape((x.shape[0], c, s, s))
-    a1 = relu(add_bias(conv2d(img, p["conv1_w"], stride=1, padding=1),
-                       p["conv1_b"]))
+    a1 = relu(conv2d(img, p["conv1_w"], p["conv1_b"], stride=1, padding=1))
     pool1 = max_pool2(a1)
-    a2 = relu(add_bias(conv2d(pool1, p["conv2_w"], stride=1, padding=1),
-                       p["conv2_b"]))
+    a2 = relu(conv2d(pool1, p["conv2_w"], p["conv2_b"], stride=1, padding=1))
     pool2 = max_pool2(a2)
     flat = pool2.reshape((x.shape[0], pool2.size // x.shape[0]))
     a3 = relu(_linear(flat, p, "dense"))
-    logits = add_bias(matmul(a3, p["output_w"]), p["output_b"])
+    logits = _linear(a3, p, "output")
     return ForwardTrace(logits, [a1, a2, a3])
 
 

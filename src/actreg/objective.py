@@ -17,20 +17,21 @@ import numpy as np
 
 from .errors import NonFiniteError, ValidationError
 from .models import Model, ForwardTrace, forward_traced
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, _node, no_grad
 
 
 def activation_energy(trace: ForwardTrace) -> Tensor:
-    """Differentiable scalar energy of one traced forward pass."""
+    """Differentiable scalar energy of one traced forward pass, as one node."""
     acts = trace.hidden_activations
     if not acts:
         raise ValidationError("trace has no hidden activations")
-    total: Tensor | None = None
-    for a in acts:
-        batch = a.shape[0]
-        layer = (a * a).sum() * (1.0 / batch)
-        total = layer if total is None else total + layer
-    return total
+    total = sum((a.data * a.data).sum() * (1.0 / a.shape[0]) for a in acts)
+    # Each activation is a parent once per factor of a * a and gets c * a
+    # from each, added one at a time as through a mul node: a single
+    # 2 * c * a rounds differently once the activation holds a gradient.
+    return _node(total, tuple(a for a in acts for _ in (0, 1)),
+                 lambda g: [ga for a in acts
+                            for ga in (float(g * (1.0 / a.shape[0])) * a.data,) * 2])
 
 
 def regularized_loss(ce, energy, lam: float):

@@ -7,12 +7,14 @@ hardware descriptor, and the seed. Unknown keys found in a file are
 preserved through a load/save round trip so logs from other tools can
 flow through the analysis pipeline unchanged.
 
-Filenames follow {arch}_{dataset}_h{hidden}[_g{glia}]_seed{seed}.json
-and writes are atomic (write to a temp file, then rename).
+Filenames follow {arch}_{dataset}_h{hidden}[_g{glia}]_lam{lam}_seed{seed}_{hash}.json,
+where the hash covers every stored hyperparameter, so runs that differ in
+any of them keep separate files. Writes are atomic (temp file, then rename).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -145,8 +147,13 @@ def record_filename(record: ExperimentRecord) -> str:
     if record.glia_ratio is not None:
         g = record.glia_ratio
         glia = f"_g{g:.1f}" if g == int(g) else f"_g{g:g}"
+    # param_count stands in for the cnn widths, which records do not store
+    hyper = [float(getattr(record, k)) for k in (
+        "input_dim", "output_dim", "lr", "batch_size", "weight_decay", "lam",
+        "max_epochs", "patience", "param_count")]
+    digest = hashlib.sha256(repr(hyper).encode()).hexdigest()[:8]
     return (f"{record.architecture}_{record.dataset}_h{record.hidden_dim}"
-            f"{glia}_seed{record.seed}.json")
+            f"{glia}_lam{record.lam:g}_seed{record.seed}_{digest}.json")
 
 
 def save_record(record: ExperimentRecord, directory) -> Path:

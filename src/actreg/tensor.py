@@ -11,8 +11,8 @@ reference counting frees it as soon as its loss is dropped.
 topological order and is the only place gradients are accumulated: the
 first one a node receives is assigned (copied for leaves, which own
 their arrays), later ones are added, so fan-out is handled correctly.
-Only the operations needed by the model zoo are provided; shapes must
-match exactly except for the documented bias broadcasts.
+Only the operations needed by the model zoo are provided, one node per
+layer (``linear`` and ``conv2d`` take their bias); shapes must match exactly.
 
 Finiteness is checked at state boundaries, not per op: the public
 ``Tensor(...)`` constructor rejects NaN and infinity in inputs and
@@ -211,21 +211,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                             a.data.T @ g if b.requires_grad else None))
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Broadcast a bias vector onto a batch.
-
-    Supports (n, k) + (k,) for dense layers and (n, c, h, w) + (c,) for
-    convolution channels. This is the only broadcasting in the package.
-    """
-    if x.data.ndim == 2 and b.data.shape == (x.shape[1],):
-        data = x.data + b.data
-        axes = (0,)
-    elif x.data.ndim == 4 and b.data.shape == (x.shape[1],):
-        data = x.data + b.data[None, :, None, None]
-        axes = (0, 2, 3)
-    else:
-        raise ShapeError(f"bias {b.shape} does not broadcast onto {x.shape}")
-    return _node(data, (x, b), lambda g: (g, g.sum(axis=axes)))
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer x @ w + b: an (n, i) batch, (i, o) weights and an (o,) bias."""
+    if x.data.ndim != 2 or b.data.ndim != 1 or w.shape != (x.shape[1], b.shape[0]):
+        raise ShapeError(f"linear needs (n, i), (i, o) and (o,) operands, got "
+                         f"{x.shape}, {w.shape} and {b.shape}")
+    return _node(x.data @ w.data + b.data, (x, w, b),
+                 lambda g: (g @ w.data.T if x.requires_grad else None,
+                            x.data.T @ g, g.sum(axis=0)))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -331,22 +324,23 @@ def _col2im(dcols: np.ndarray, xshape: tuple[int, ...], kh: int, kw: int,
     return dxp
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of (n, c, h, w) inputs with (o, c, kh, kw) kernels.
 
-    Output extents are floor((side + 2*padding - kernel) / stride) + 1.
-    Implemented with an im2col gather so forward and backward are plain
-    matrix products. No kernel flip: this is the convention every major
-    deep-learning framework calls convolution.
+    ``b`` adds one bias per output channel. Output extents are
+    floor((side + 2*padding - kernel) / stride) + 1. Implemented with an
+    im2col gather so forward and backward are plain matrix products. No
+    kernel flip: this is the convention every major deep-learning
+    framework calls convolution.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d needs 4-D input and kernels, got {x.shape} "
                          f"and {w.shape}")
     n, c, h, wid = x.shape
     o, ck, kh, kw = w.shape
-    if ck != c:
-        raise ShapeError(f"kernel channels {ck} do not match input channels {c} "
-                         f"({x.shape} vs {w.shape})")
+    if ck != c or b.shape != (o,):
+        raise ShapeError(f"kernels {w.shape} and bias {b.shape} do not fit input "
+                         f"{x.shape}: need (o, {c}, kh, kw) and (o,)")
     if stride < 1 or padding < 0:
         raise ValidationError(f"stride must be >= 1 and padding >= 0, "
                               f"got {stride}, {padding}")
@@ -359,6 +353,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     wf = w.data.reshape(o, c * kh * kw)
 
     def backward(g):
+        db = g.sum(axis=(0, 2, 3))
         g = g.reshape(n, o, oh * ow)
         dx = dw = None
         if x.requires_grad:
@@ -366,8 +361,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
                          oh, ow)
         if w.requires_grad:
             dw = np.einsum("nol,nkl->ok", g, cols).reshape(w.shape)
-        return dx, dw
-    return _node(np.matmul(wf, cols).reshape(n, o, oh, ow), (x, w), backward)
+        return dx, dw, db
+    out = np.matmul(wf, cols).reshape(n, o, oh, ow) + b.data[None, :, None, None]
+    return _node(out, (x, w, b), backward)
 
 
 def max_pool2(x: Tensor) -> Tensor:

@@ -72,6 +72,19 @@ def test_non_ok_and_null_records_are_filtered():
                                  test_loss=None, activation_energy=None)] * 4)
 
 
+def test_no_records_are_named_as_none_found():
+    with pytest.raises(ValidationError, match="no records were found"):
+        analyze_records([])
+
+
+def test_unusable_records_are_counted_by_cause():
+    records = [_record(status="diverged", test_accuracy=None)] * 3 \
+        + [_record(test_accuracy=None)] * 2
+    with pytest.raises(ValidationError,
+                       match=r"3 of 5 did not complete, the rest lack it"):
+        analyze_records(records)
+
+
 def test_response_selection():
     records = _batch(["mlp", "bimodal"], ["synth"], 6)
     for response in RESPONSES:

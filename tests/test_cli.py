@@ -31,6 +31,14 @@ def test_run_writes_a_record(tmp_path, capsys):
     assert "accuracy" in out and str(tmp_path) in out
 
 
+def test_runs_differing_in_one_setting_keep_separate_files(tmp_path, capsys):
+    for flag, values in (("--lambda", ("0", "1e-3")), ("--lr", ("1e-3", "1e-2"))):
+        directory = tmp_path / flag.strip("-")
+        for v in values:
+            assert _run(*SMALL_RUN, flag, v, "--records-dir", str(directory)) == 0
+        assert len(os.listdir(directory)) == 2, flag
+
+
 def test_run_unknown_architecture_is_config_error(tmp_path, capsys):
     code = _run("run", "--arch", "transformer",
                 "--records-dir", str(tmp_path))
@@ -122,10 +130,11 @@ def test_sweep_writes_report_and_cell_records(tmp_path, capsys, monkeypatch):
     assert "lambda" in text and "relative_energy" in text
     report = load_sweep(out_json)
     assert [r.lam for r in report.rows] == [0.0, 1e-2]
-    # cell records land in one subdirectory per lambda
-    baseline, _ = load_records(tmp_path / "cells" / "lam_0")
-    regular, _ = load_records(tmp_path / "cells" / "lam_0.01")
-    assert len(baseline) == 2 and len(regular) == 2
+    # cell records land side by side, one file per cell
+    records, issues = load_records(tmp_path / "cells")
+    assert len(records) == 4 and not issues
+    baseline = [r for r in records if r.lam == 0.0]
+    assert len(baseline) == 2
     assert {r.seed for r in baseline} == {42, 123}
 
 

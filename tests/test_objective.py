@@ -103,3 +103,40 @@ def test_dataset_energy_matches_batch_energy():
     for bs in (7, 16, 64):
         assert dataset_activation_energy(model, x, batch_size=bs) == \
             pytest.approx(per_example, rel=1e-12)
+
+
+def _composed_energy(trace):
+    # the energy built from generic ops, one mul/sum/scale per layer
+    total = None
+    for a in trace.hidden_activations:
+        layer = (a * a).sum() * (1.0 / a.shape[0])
+        total = layer if total is None else total + layer
+    return total
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("mlp", 8, 6, 3),
+                                  ModelSpec("bimodal", 8, 6, 3, glia_ratio=0.5),
+                                  ModelSpec("physics", 8, 6, 3),
+                                  ModelSpec("cnn", 16, 6, 3, conv_channels=(2, 3),
+                                            dense_dim=5)],
+                         ids=lambda s: s.arch)
+def test_energy_node_equals_composed_reference_bit_for_bit(spec):
+    # every activation but the last feeds the next layer, and the last
+    # feeds the head, so each already holds a downstream gradient when
+    # the energy's terms arrive
+    gen = make_generator(21)
+    x = gen.normal(size=(7, spec.input_dim))
+    y = gen.integers(0, 3, size=7)
+    model = build_model(spec, 5)
+    results = []
+    for energy_fn in (activation_energy, _composed_energy):
+        trace = forward_traced(model, x)
+        energy = energy_fn(trace)
+        ce = softmax_cross_entropy(trace.logits, y)
+        regularized_loss(ce, energy, 0.37).backward()
+        results.append((energy.data, [a.grad for a in trace.hidden_activations]))
+    (node, node_grads), (ref, ref_grads) = results
+    assert node.tobytes() == ref.tobytes()
+    assert len(node_grads) == len(ref_grads)
+    for got, want in zip(node_grads, ref_grads):
+        np.testing.assert_array_equal(got, want, strict=True)

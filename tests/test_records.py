@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -80,11 +81,17 @@ def test_validate_rejects_bad_status_and_nonfinite():
 
 
 def test_filename_pattern():
-    assert record_filename(_record()) == "bimodal_synth_h64_g1.0_seed42.json"
+    name = record_filename(_record())
+    assert re.fullmatch(r"bimodal_synth_h64_g1\.0_lam0\.01_seed42_[0-9a-f]{8}\.json",
+                        name)
     plain = _record(architecture="mlp", glia_ratio=None)
-    assert record_filename(plain) == "mlp_synth_h64_seed42.json"
+    assert record_filename(plain) == name.replace("bimodal", "mlp", 1).replace("_g1.0", "")
     frac = _record(glia_ratio=0.25)
-    assert record_filename(frac) == "bimodal_synth_h64_g0.25_seed42.json"
+    assert record_filename(frac) == name.replace("_g1.0", "_g0.25")
+    assert record_filename(_record(lam=0.0)).startswith("bimodal_synth_h64_g1.0_lam0_")
+    # param_count tells cnn widths apart; an int setting equals its float
+    assert record_filename(_record(param_count=1)) != name
+    assert record_filename(_record(lr=1)) == record_filename(_record(lr=1.0))
 
 
 def test_save_and_load(tmp_path):
@@ -101,8 +108,8 @@ def test_save_leaves_no_temp_files_behind(tmp_path):
     save_record(_record(), tmp_path)
     save_record(_record(seed=43), tmp_path)
     names = sorted(os.listdir(tmp_path))
-    assert names == ["bimodal_synth_h64_g1.0_seed42.json",
-                     "bimodal_synth_h64_g1.0_seed43.json"]
+    assert names == sorted([record_filename(_record()),
+                            record_filename(_record(seed=43))])
 
 
 def test_save_refuses_invalid_record(tmp_path):

@@ -10,7 +10,7 @@ from actreg.errors import NonFiniteError, ShapeError, ValidationError
 from actreg.models import ModelSpec, build_model, forward_traced
 from actreg.objective import activation_energy, regularized_loss
 from actreg.rng import make_generator
-from actreg.tensor import (Adam, Tensor, add_bias, concat, conv2d, grad_check,
+from actreg.tensor import (Adam, Tensor, concat, conv2d, grad_check, linear,
                            matmul, max_pool2, no_grad, relu, sigmoid, softmax,
                            softmax_cross_entropy, tanh)
 
@@ -111,7 +111,7 @@ def test_conv_ones_fixture():
     # every 2x2 window sums to 4
     x = _leaf(np.ones((1, 1, 3, 3)))
     w = _leaf(np.ones((1, 1, 2, 2)))
-    out = conv2d(x, w)
+    out = conv2d(x, w, Tensor(np.zeros(1)))
     assert out.shape == (1, 1, 2, 2)
     np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
 
@@ -119,8 +119,9 @@ def test_conv_ones_fixture():
 def test_conv_padding_and_stride_shapes():
     x = _leaf(np.ones((2, 3, 8, 8)))
     w = _leaf(np.ones((5, 3, 3, 3)))
-    assert conv2d(x, w, stride=1, padding=1).shape == (2, 5, 8, 8)
-    assert conv2d(x, w, stride=2, padding=1).shape == (2, 5, 4, 4)
+    b = _leaf(np.zeros(5))
+    assert conv2d(x, w, b, stride=1, padding=1).shape == (2, 5, 8, 8)
+    assert conv2d(x, w, b, stride=2, padding=1).shape == (2, 5, 4, 4)
 
 
 def test_max_pool_forward_and_routing():
@@ -258,8 +259,10 @@ def test_data_inputs_get_no_gradient():
     gen = make_generator(8)
     xd, wd = gen.normal(size=(4, 3)), gen.normal(size=(3, 2))
     xi, wi = gen.normal(size=(2, 2, 5, 5)), gen.normal(size=(3, 2, 3, 3))
+    bd, bi = _leaf(gen.normal(size=2)), _leaf(gen.normal(size=3))
     for op, xv, wv in ((matmul, xd, wd),
-                       (lambda x, w: conv2d(x, w, padding=1), xi, wi)):
+                       (lambda x, w: linear(x, w, bd), xd, wd),
+                       (lambda x, w: conv2d(x, w, bi, padding=1), xi, wi)):
         data, w = Tensor(xv), _leaf(wv)
         (op(data, w) * op(data, w)).sum().backward()
         leaf, w_ref = _leaf(xv), _leaf(wv)
@@ -274,8 +277,8 @@ def test_shape_errors_name_both_shapes():
         matmul(_leaf(np.ones((2, 3))), _leaf(np.ones((2, 3))))
     with pytest.raises(ShapeError, match="off-axis"):
         concat([_leaf(np.ones((2, 3))), _leaf(np.ones((3, 3)))], axis=1)
-    with pytest.raises(ShapeError):
-        add_bias(_leaf(np.ones((2, 3))), _leaf(np.ones(4)))
+    with pytest.raises(ShapeError, match=r"2, 3.*3, 2.*4,"):
+        linear(_leaf(np.ones((2, 3))), _leaf(np.ones((3, 2))), _leaf(np.ones(4)))
 
 
 # Per-op gradient checks. Inputs are kept away from relu/pool kinks by
@@ -303,18 +306,12 @@ def _g_matmul(gen):
     return lambda: matmul(a, b).sum(), [a, b]
 
 
-@_case("add_bias_2d")
-def _g_bias2(gen):
+@_case("linear")
+def _g_linear(gen):
     x = _leaf(gen.normal(size=(3, 4)))
-    b = _leaf(gen.normal(size=4))
-    return lambda: add_bias(x, b).sum(), [x, b]
-
-
-@_case("add_bias_4d")
-def _g_bias4(gen):
-    x = _leaf(gen.normal(size=(2, 3, 4, 4)))
-    b = _leaf(gen.normal(size=3))
-    return lambda: add_bias(x, b).sum(), [x, b]
+    w = _leaf(gen.normal(size=(4, 2)))
+    b = _leaf(gen.normal(size=2))
+    return lambda: (linear(x, w, b) * linear(x, w, b)).sum(), [x, w, b]
 
 
 @_case("relu")
@@ -355,7 +352,18 @@ def _g_ce(gen):
 def _g_conv(gen):
     x = _leaf(gen.normal(size=(2, 2, 5, 5)))
     w = _leaf(gen.normal(size=(3, 2, 3, 3)))
-    return lambda: (conv2d(x, w, padding=1) * conv2d(x, w, padding=1)).sum(), [x, w]
+    b = Tensor(gen.normal(size=3))
+    return (lambda: (conv2d(x, w, b, padding=1) * conv2d(x, w, b, padding=1)).sum(),
+            [x, w])
+
+
+@_case("conv2d_bias")
+def _g_conv_bias(gen):
+    x = _leaf(gen.normal(size=(2, 2, 5, 5)))
+    w = _leaf(gen.normal(size=(3, 2, 3, 3)))
+    b = _leaf(gen.normal(size=3))
+    return (lambda: (conv2d(x, w, b, stride=2) * conv2d(x, w, b, stride=2)).sum(),
+            [x, w, b])
 
 
 @_case("max_pool2")

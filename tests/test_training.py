@@ -12,8 +12,8 @@ from actreg.objective import (activation_energy, dataset_activation_energy,
                               regularized_loss)
 from actreg.power import live_source
 from actreg.tensor import softmax_cross_entropy
-from actreg.training import (RunConfig, _eval_objective, evaluate,
-                             hardware_descriptor, seed_protocol, train)
+from actreg.training import (RunConfig, _batch_objective, _eval_objective,
+                             evaluate, hardware_descriptor, seed_protocol, train)
 
 DATA = synth_blobs(classes=3, dim=8, n_per_class=40, separation=3.0, seed=7)
 
@@ -248,3 +248,26 @@ def test_seed_protocol_is_published():
     seeds = seed_protocol()
     assert seeds == [42, 123, 456, 789, 1011, 1213, 1415, 1617, 1819, 2021]
     assert len(set(seeds)) == 10
+
+
+@pytest.mark.parametrize("spec,nodes", [
+    (ModelSpec("mlp", 8, 12, 3), 16),
+    (ModelSpec("bimodal", 8, 12, 3, glia_ratio=1.0), 25),
+    (ModelSpec("physics", 8, 12, 3), 32),
+    (ModelSpec("cnn", 16, 12, 3), 23),
+], ids=lambda v: getattr(v, "arch", v))
+def test_loss_graph_has_one_node_per_layer(spec, nodes):
+    # every dense and conv layer and the energy term are one node each;
+    # the count covers every tensor a backward pass reaches, leaves too
+    gen = np.random.default_rng(0)
+    model = build_model(spec, 0)
+    loss = _batch_objective(model, gen.normal(size=(32, spec.input_dim)),
+                            gen.integers(0, 3, size=32), 1e-3)
+    seen = {id(loss)}
+    stack = [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    assert len(seen) == nodes
