@@ -24,8 +24,8 @@ from .stats import (AnovaSource, BootstrapCI, LinearFit, TukeyPair,
                     WilcoxonResult, bootstrap_ci, coefficient_of_variation,
                     linear_fit, one_way_anova, rank_variance, rank_within,
                     tukey_hsd, two_way_anova_type2, wilcoxon_signed_rank)
-from .sweep import (DEFAULT_LAMBDAS, SweepCell, SweepReport, SweepRow,
-                    load_sweep, run_lambda_sweep, save_sweep)
+from .sweep import (DEFAULT_LAMBDAS, SweepReport, SweepRow, load_sweep,
+                    run_lambda_sweep, save_sweep)
 from .tensor import Adam, Tensor, grad_check, softmax_cross_entropy
 from .training import RunConfig, evaluate, seed_protocol, train
 
@@ -35,11 +35,10 @@ __all__ = [
     "ARCHITECTURES", "Adam", "AnovaSource", "BootstrapCI", "DEFAULT_LAMBDAS",
     "DatasetHandle", "EnergyReport", "ExperimentRecord", "ForwardTrace",
     "LinearFit", "LiveSource", "Model", "ModelSpec", "NonFiniteError",
-    "ParseError", "PowerSample", "RunConfig", "ShapeError", "SweepCell",
-    "SweepReport", "SweepRow", "Table", "Tensor", "TukeyPair",
-    "ValidationError", "WilcoxonResult", "activation_energy",
-    "analyze_records", "bootstrap_ci", "build_model",
-    "coefficient_of_variation", "dataset_activation_energy",
+    "ParseError", "PowerSample", "RunConfig", "ShapeError", "SweepReport",
+    "SweepRow", "Table", "Tensor", "TukeyPair", "ValidationError",
+    "WilcoxonResult", "activation_energy", "analyze_records", "bootstrap_ci",
+    "build_model", "coefficient_of_variation", "dataset_activation_energy",
     "energy_per_correct", "evaluate", "forward_traced", "grad_check",
     "integrate", "linear_fit", "live_source", "load_idx_dataset",
     "load_idx_images", "load_idx_labels", "load_record", "load_records",

@@ -29,7 +29,8 @@ from .errors import NonFiniteError, ParseError, ValidationError
 from .models import ModelSpec, build_model
 from .records import load_records, save_record
 from .rng import make_generator
-from .sweep import DEFAULT_LAMBDAS, load_sweep, run_lambda_sweep, save_sweep
+from .sweep import (DEFAULT_LAMBDAS, DEFAULT_SEEDS, load_sweep,
+                    run_lambda_sweep, save_sweep)
 from .tensor import grad_check
 from .training import RunConfig, _batch_objective, train
 
@@ -182,12 +183,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     data = _make_dataset(s)
     template = _make_spec(s, data)
     lambdas = _parse_list(float, args.lambdas) if args.lambdas else DEFAULT_LAMBDAS
-    seeds = _parse_list(int, args.seeds) if args.seeds else [42, 123, 456]
-    cell_records = [] if args.records_dir_out else None
+    seeds = _parse_list(int, args.seeds) if args.seeds else DEFAULT_SEEDS
     report = run_lambda_sweep(
         data, template, lambdas, seeds, lr=s["lr"],
         batch_size=s["batch_size"], epochs=args.epochs,
-        weight_decay=s["weight_decay"], records=cell_records)
+        weight_decay=s["weight_decay"])
     print(report.render_table())
     if report.failed:
         print(f"{len(report.failed)} cell(s) diverged and were excluded",
@@ -195,8 +195,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         path = save_sweep(report, args.out)
         print(f"sweep report: {path}")
-    if cell_records:
-        for record in cell_records:
+    if args.records_dir_out:
+        for record in report.cells:
             save_record(record, args.records_dir_out)
         print(f"cell records: {args.records_dir_out}")
     return 0

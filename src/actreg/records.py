@@ -16,55 +16,29 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .errors import ParseError, ValidationError
-
-# Serialized names and required types of every documented field.
-# "lambda" is the regularization weight; it is stored under that key
-# but lives in the dataclass as "lam" because of the Python keyword.
-_SCHEMA: dict[str, tuple[type, ...]] = {
-    "architecture": (str,),
-    "dataset": (str,),
-    "hidden_dim": (int,),
-    "input_dim": (int,),
-    "output_dim": (int,),
-    "glia_ratio": (float, int, type(None)),
-    "activations": (list,),
-    "lr": (float, int),
-    "batch_size": (int,),
-    "weight_decay": (float, int),
-    "lambda": (float, int),
-    "max_epochs": (int,),
-    "patience": (int,),
-    "epochs_run": (int,),
-    "seed": (int,),
-    "status": (str,),
-    "test_accuracy": (float, int, type(None)),
-    "test_loss": (float, int, type(None)),
-    "activation_energy": (float, int, type(None)),
-    "energy_mj_total": (float, int, type(None)),
-    "energy_mj_per_correct": (float, int, type(None)),
-    "training_duration_seconds": (float, int),
-    "hardware": (str,),
-    "param_count": (int,),
-}
-
-# The analysis pipeline can work with this subset, so externally
-# produced logs missing optional fields still load.
-_REQUIRED = ("architecture", "dataset", "seed", "test_accuracy")
 
 
 @dataclass
 class ExperimentRecord:
+    """One training run. This class is the record's only declaration.
+
+    Fields without a default are required in a loaded file: the analysis
+    pipeline needs only those, so externally produced logs that lack
+    the others still load.
+    """
+
     architecture: str
     dataset: str
+    seed: int
+    test_accuracy: float | None
     hidden_dim: int = 0
     input_dim: int = 0
     output_dim: int = 0
@@ -76,10 +50,9 @@ class ExperimentRecord:
     lam: float = 0.0
     max_epochs: int = 0
     patience: int = 0
+    val_fraction: float = 0.0
     epochs_run: int = 0
-    seed: int = 0
     status: str = "ok"
-    test_accuracy: float | None = None
     test_loss: float | None = None
     activation_energy: float | None = None
     energy_mj_total: float | None = None
@@ -91,12 +64,34 @@ class ExperimentRecord:
 
     def to_json_dict(self) -> dict[str, Any]:
         out = dict(self.extra)
-        for f in fields(self):
-            if f.name == "extra":
-                continue
-            key = "lambda" if f.name == "lam" else f.name
-            out[key] = getattr(self, f.name)
+        for key, (attr, _) in _SCHEMA.items():
+            out[key] = getattr(self, attr)
         return out
+
+
+# The JSON types each field annotation accepts; an integer is a valid
+# float. An annotation missing here is a KeyError at import.
+_JSON_TYPES: dict[str, tuple[type, ...]] = {
+    "str": (str,),
+    "int": (int,),
+    "float": (float, int),
+    "float | None": (float, int, type(None)),
+    "list[str]": (list,),
+}
+
+# Stored key -> (attribute, accepted JSON types) of every field but
+# extra. The regularization weight is stored as "lambda", a Python
+# keyword, so its attribute is "lam".
+_STORED = [("lambda" if f.name == "lam" else f.name, f)
+           for f in fields(ExperimentRecord) if f.name != "extra"]
+_SCHEMA: dict[str, tuple[str, tuple[type, ...]]] = {
+    key: (f.name, _JSON_TYPES[f.type]) for key, f in _STORED}
+_REQUIRED = tuple(key for key, f in _STORED
+                  if f.default is MISSING and f.default_factory is MISSING)
+
+
+def _wrong_type(value, types) -> bool:
+    return not isinstance(value, types) or isinstance(value, bool)
 
 
 def record_from_dict(raw: dict[str, Any]) -> ExperimentRecord:
@@ -114,32 +109,28 @@ def record_from_dict(raw: dict[str, Any]) -> ExperimentRecord:
     extra: dict[str, Any] = {}
     for key, value in raw.items():
         if key in _SCHEMA:
-            if not isinstance(value, _SCHEMA[key]) or isinstance(value, bool):
+            attr, types = _SCHEMA[key]
+            if _wrong_type(value, types):
                 raise ParseError(f"field {key!r} has wrong type "
                                  f"{type(value).__name__}")
-            known["lam" if key == "lambda" else key] = value
+            known[attr] = value
         else:
             extra[key] = value
     return ExperimentRecord(**known, extra=extra)
 
 
 def validate_record(record: ExperimentRecord) -> None:
-    """Check the full documented field list before persisting."""
-    raw = record.to_json_dict()
-    for key, types in _SCHEMA.items():
-        if key not in raw:
-            raise ValidationError(f"record is missing field {key!r}")
-        if not isinstance(raw[key], types) or isinstance(raw[key], bool):
+    """Check every field's type, the status, and that floats are finite."""
+    for key, (attr, types) in _SCHEMA.items():
+        value = getattr(record, attr)
+        if _wrong_type(value, types):
             raise ValidationError(f"record field {key!r} has wrong type "
-                                  f"{type(raw[key]).__name__}")
+                                  f"{type(value).__name__}")
+        # json would write NaN or Infinity, which are not standard JSON
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"record field {key!r} is non-finite")
     if record.status not in ("ok", "diverged"):
         raise ValidationError(f"unknown status {record.status!r}")
-    for key in ("test_accuracy", "test_loss", "activation_energy",
-                "energy_mj_total", "energy_mj_per_correct",
-                "training_duration_seconds"):
-        v = raw[key]
-        if v is not None and not np.isfinite(v):
-            raise ValidationError(f"record field {key!r} is non-finite")
 
 
 def record_filename(record: ExperimentRecord) -> str:
@@ -150,7 +141,7 @@ def record_filename(record: ExperimentRecord) -> str:
     # param_count stands in for the cnn widths, which records do not store
     hyper = [float(getattr(record, k)) for k in (
         "input_dim", "output_dim", "lr", "batch_size", "weight_decay", "lam",
-        "max_epochs", "patience", "param_count")]
+        "max_epochs", "patience", "val_fraction", "param_count")]
     digest = hashlib.sha256(repr(hyper).encode()).hexdigest()[:8]
     return (f"{record.architecture}_{record.dataset}_h{record.hidden_dim}"
             f"{glia}_lam{record.lam:g}_seed{record.seed}_{digest}.json")

@@ -68,20 +68,26 @@ class LinearFit:
     r_squared: float
 
 
+def _sample(values, name: str, min_size: int = 1) -> np.ndarray:
+    """``values`` as a finite 1-D float array of at least ``min_size`` entries.
+
+    Raises ValidationError naming ``name`` otherwise.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < min_size:
+        raise ValidationError(f"{name} must be a 1-D sequence of at least "
+                              f"{min_size} values, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must hold only finite values")
+    return arr
+
+
 def _clean_groups(groups: Mapping[str, Sequence[float]],
                   min_size: int = 2) -> dict[str, np.ndarray]:
     if len(groups) < 2:
         raise ValidationError(f"need at least 2 groups, got {len(groups)}")
-    out: dict[str, np.ndarray] = {}
-    for name, values in groups.items():
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < min_size:
-            raise ValidationError(f"group {name!r} needs at least {min_size} "
-                                  f"observations, got {arr.size}")
-        if not np.isfinite(arr).all():
-            raise ValidationError(f"group {name!r} contains non-finite values")
-        out[str(name)] = arr
-    return out
+    return {str(name): _sample(values, f"group {name!r}", min_size)
+            for name, values in groups.items()}
 
 
 def _between_within(groups: dict[str, np.ndarray]) -> tuple[float, float, int, int]:
@@ -238,11 +244,7 @@ def bootstrap_ci(data: Sequence[float], n_iterations: int = 1000,
     100-(100-level)/2 percentiles of those means. The caller supplies
     the seed, so identical inputs give identical intervals.
     """
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("data must be a nonempty 1-D sequence")
-    if not np.isfinite(arr).all():
-        raise ValidationError("data contains non-finite values")
+    arr = _sample(data, "data")
     if n_iterations < 1:
         raise ValidationError(f"n_iterations must be >= 1, got {n_iterations}")
     if not (0 < level < 100):
@@ -279,11 +281,7 @@ def wilcoxon_signed_rank(differences: Sequence[float]) -> WilcoxonResult:
     correction and continuity correction is used. All differences zero
     is degenerate with p = 1.
     """
-    d = np.asarray(differences, dtype=np.float64)
-    if d.ndim != 1 or d.size == 0:
-        raise ValidationError("differences must be a nonempty 1-D sequence")
-    if not np.isfinite(d).all():
-        raise ValidationError("differences contain non-finite values")
+    d = _sample(differences, "differences")
     d = d[d != 0.0]
     n = d.size
     if n == 0:
@@ -321,15 +319,10 @@ def linear_fit(x: Sequence[float], y: Sequence[float]) -> LinearFit:
     Needs at least 3 points and nonconstant x. All-equal y is a perfect
     constant fit: slope 0, R^2 = 1.
     """
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise ValidationError(f"x and y must be equal-length 1-D sequences, "
-                              f"got {xa.shape} and {ya.shape}")
-    if xa.size < 3:
-        raise ValidationError(f"need at least 3 points, got {xa.size}")
-    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
-        raise ValidationError("inputs contain non-finite values")
+    xa, ya = _sample(x, "x", 3), _sample(y, "y", 3)
+    if xa.size != ya.size:
+        raise ValidationError(f"x and y must have equal lengths, "
+                              f"got {xa.size} and {ya.size}")
     if np.all(xa == xa[0]):
         raise ValidationError("x values are all equal; the slope is undefined")
     if np.all(ya == ya[0]):
@@ -347,11 +340,7 @@ def linear_fit(x: Sequence[float], y: Sequence[float]) -> LinearFit:
 
 def coefficient_of_variation(values: Sequence[float]) -> float | None:
     """100 * sample standard deviation / mean; None when the mean is 0."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValidationError(f"need at least 2 values, got {arr.size}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("values contain non-finite entries")
+    arr = _sample(values, "values", 2)
     mean = float(arr.mean())
     if mean == 0.0:
         return None
@@ -360,17 +349,10 @@ def coefficient_of_variation(values: Sequence[float]) -> float | None:
 
 def rank_variance(ranks: Sequence[float]) -> float:
     """Population variance of a rank sequence (consistency measure)."""
-    arr = np.asarray(ranks, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("ranks must be a nonempty 1-D sequence")
-    if not np.isfinite(arr).all():
-        raise ValidationError("ranks contain non-finite values")
-    return float(arr.var(ddof=0))
+    return float(_sample(ranks, "ranks").var(ddof=0))
 
 
 def rank_within(values: Sequence[float], descending: bool = True) -> np.ndarray:
     """Midrank positions of values, rank 1 for the largest by default."""
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValidationError("values contain non-finite entries")
+    arr = _sample(values, "values")
     return _midranks(-arr if descending else arr)

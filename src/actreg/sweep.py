@@ -1,11 +1,11 @@
 """Regularization-weight sweep: train a grid, compare energies.
 
 Each cell of the grid (one lam value, one seed) is an ordinary harness
-run, so the lam = 0 baseline cells are bit-identical to plain training
-under the same seeds. Per-lam aggregates are means over the seeds that
-finished; failed cells are excluded and reported. Relative energy is a
-cell's mean activation energy divided by the lam = 0 mean on the same
-dataset.
+run, and the report keeps its full experiment record, so the lam = 0
+baseline cells are bit-identical to plain training under the same seeds.
+Per-lam aggregates are means over the seeds that finished; failed cells
+are excluded and reported. Relative energy is a cell's mean activation
+energy divided by the lam = 0 mean on the same dataset.
 """
 
 from __future__ import annotations
@@ -19,17 +19,8 @@ import numpy as np
 from .datasets import DatasetHandle
 from .errors import ParseError, ValidationError
 from .models import ModelSpec, spec_with_dims
-from .records import ExperimentRecord
+from .records import ExperimentRecord, record_from_dict
 from .training import RunConfig, train
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    lam: float
-    seed: int
-    status: str
-    accuracy: float | None
-    activation_energy: float | None
 
 
 @dataclass(frozen=True)
@@ -48,12 +39,17 @@ class SweepReport:
     hidden_dim: int
     epochs: int
     seeds: list[int]
-    cells: list[SweepCell] = field(default_factory=list)
+    cells: list[ExperimentRecord] = field(default_factory=list)
     rows: list[SweepRow] = field(default_factory=list)
-    failed: list[SweepCell] = field(default_factory=list)
+
+    @property
+    def failed(self) -> list[ExperimentRecord]:
+        """The cells that did not finish."""
+        return [c for c in self.cells if c.status != "ok"]
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "cells": [c.to_json_dict() for c in self.cells],
+                "rows": [asdict(r) for r in self.rows]}
 
     def render_table(self) -> str:
         """Aligned text table: one row per regularization weight."""
@@ -88,20 +84,20 @@ def load_sweep(path) -> SweepReport:
             dataset=raw["dataset"], architecture=raw["architecture"],
             hidden_dim=raw["hidden_dim"], epochs=raw["epochs"],
             seeds=list(raw["seeds"]),
-            cells=[SweepCell(**c) for c in raw["cells"]],
+            cells=[record_from_dict(c) for c in raw["cells"]],
             rows=[SweepRow(**r) for r in raw["rows"]],
-            failed=[SweepCell(**c) for c in raw["failed"]],
         )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ParseError) as exc:
         raise ParseError(f"{path}: not a sweep report: {exc}") from None
     return report
 
 
 DEFAULT_LAMBDAS = (0.0, 1e-5, 1e-4, 1e-3, 1e-2)
+DEFAULT_SEEDS = (42, 123, 456)
 
 
 def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
-                     lambdas=DEFAULT_LAMBDAS, seeds=(42, 123, 456), *,
+                     lambdas=DEFAULT_LAMBDAS, seeds=DEFAULT_SEEDS, *,
                      lr: float = 1e-3, batch_size: int = 128, epochs: int = 5,
                      weight_decay: float = 0.0,
                      records: list[ExperimentRecord] | None = None,
@@ -109,9 +105,9 @@ def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
     """Train every (lam, seed) cell and aggregate per lam.
 
     The grid must contain 0 so the relative-energy baseline exists.
-    Diverged cells are dropped from the aggregates and listed in
-    ``failed``. Pass a list as ``records`` to receive every cell's full
-    experiment record.
+    ``cells`` holds the record ``train`` returned for each cell, in grid
+    order. Diverged cells are dropped from the aggregates and listed in
+    ``failed``. A list passed as ``records`` receives the same records.
     """
     lambdas = sorted(set(float(l) for l in lambdas))
     if not lambdas or lambdas[0] != 0.0:
@@ -126,24 +122,17 @@ def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
     report = SweepReport(dataset=data.name, architecture=template.arch,
                          hidden_dim=template.hidden_dim, epochs=epochs,
                          seeds=seeds)
-    by_lam: dict[float, list[SweepCell]] = {l: [] for l in lambdas}
     for lam in lambdas:
         for seed in seeds:
             config = RunConfig(model=template, lr=lr, batch_size=batch_size,
                                max_epochs=epochs, patience=epochs,
                                weight_decay=weight_decay, lam=lam, seed=seed)
-            _, record = train(config, data)
-            if records is not None:
-                records.append(record)
-            cell = SweepCell(lam=lam, seed=seed, status=record.status,
-                             accuracy=record.test_accuracy,
-                             activation_energy=record.activation_energy)
-            report.cells.append(cell)
-            if record.status == "ok":
-                by_lam[lam].append(cell)
-            else:
-                report.failed.append(cell)
+            report.cells.append(train(config, data)[1])
+    if records is not None:
+        records.extend(report.cells)
 
+    by_lam = {l: [c for c in report.cells if c.lam == l and c.status == "ok"]
+              for l in lambdas}
     baseline_cells = by_lam[0.0]
     if not baseline_cells:
         raise ValidationError("every lam = 0 baseline cell failed; no reference "
@@ -156,7 +145,7 @@ def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
         ok = by_lam[lam]
         if not ok:
             continue
-        mean_acc = float(np.mean([c.accuracy for c in ok]))
+        mean_acc = float(np.mean([c.test_accuracy for c in ok]))
         mean_energy = float(np.mean([c.activation_energy for c in ok]))
         report.rows.append(SweepRow(lam=lam, mean_accuracy=mean_acc,
                                     mean_energy=mean_energy,

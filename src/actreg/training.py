@@ -211,6 +211,7 @@ def train(config: RunConfig, data: DatasetHandle) -> tuple[Model, ExperimentReco
         lam=config.lam,
         max_epochs=config.max_epochs,
         patience=config.patience,
+        val_fraction=config.val_fraction,
         epochs_run=epochs_run,
         seed=config.seed,
         status=status,

@@ -32,7 +32,8 @@ def test_run_writes_a_record(tmp_path, capsys):
 
 
 def test_runs_differing_in_one_setting_keep_separate_files(tmp_path, capsys):
-    for flag, values in (("--lambda", ("0", "1e-3")), ("--lr", ("1e-3", "1e-2"))):
+    for flag, values in (("--lambda", ("0", "1e-3")), ("--lr", ("1e-3", "1e-2")),
+                         ("--val-fraction", ("0.1", "0.3"))):
         directory = tmp_path / flag.strip("-")
         for v in values:
             assert _run(*SMALL_RUN, flag, v, "--records-dir", str(directory)) == 0

@@ -118,6 +118,17 @@ def test_save_refuses_invalid_record(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("attr, key, value", [("lam", "lambda", float("inf")),
+                                             ("lr", "lr", float("nan")),
+                                             ("weight_decay", "weight_decay",
+                                              float("inf"))])
+def test_save_refuses_non_finite_hyperparameters(attr, key, value, tmp_path):
+    # json would write them as Infinity or NaN, which is not standard JSON
+    with pytest.raises(ValidationError, match=f"'{key}' is non-finite"):
+        save_record(_record(**{attr: value}), tmp_path)
+    assert os.listdir(tmp_path) == []
+
+
 def test_load_records_skips_malformed(tmp_path):
     save_record(_record(seed=1), tmp_path)
     save_record(_record(seed=2), tmp_path)

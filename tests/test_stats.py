@@ -390,3 +390,21 @@ def test_rank_within_descending_midranks():
     np.testing.assert_allclose(ranks, [1.5, 3.0, 1.5, 4.0])
     ascending = rank_within([10.0, 30.0, 20.0], descending=False)
     np.testing.assert_allclose(ascending, [1.0, 3.0, 2.0])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: bootstrap_ci(v, rng=0), "data"),
+    (wilcoxon_signed_rank, "differences"),
+    (coefficient_of_variation, "values"),
+    (rank_variance, "ranks"),
+    (rank_within, "values"),
+    (lambda v: linear_fit(v, [1.0, 2.0, 3.0]), "x"),
+    (lambda v: one_way_anova({"a": [1.0, 2.0], "g": v}), "group 'g'"),
+])
+@pytest.mark.parametrize("sample", [[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+                                    [[5.0]], [1.0, float("nan"), 3.0]])
+def test_inputs_must_be_finite_1d_samples(call, name, sample):
+    # rank_within used to rank [[5.0]] and fail on 2-D input with numpy's
+    # "truth value of an array is ambiguous"
+    with pytest.raises(ValidationError, match=name):
+        call(sample)

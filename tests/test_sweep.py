@@ -1,5 +1,7 @@
 """Lambda sweeps: baseline identity, aggregation, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -43,10 +45,11 @@ def test_baseline_cell_matches_plain_training_bitwise():
     config = RunConfig(model=TEMPLATE, lr=1e-3, batch_size=16, max_epochs=2,
                        patience=2, weight_decay=0.0, lam=0.0, seed=42)
     _, direct = train(config, DATA)
-    assert cell.accuracy == direct.test_accuracy  # identical, not close
+    assert cell.test_accuracy == direct.test_accuracy  # identical, not close
     assert cell.activation_energy == direct.activation_energy
     stored = next(r for r in records if r.lam == 0.0 and r.seed == 42)
     assert stored.test_loss == direct.test_loss
+    assert stored is cell  # the records list receives the report's cells
 
 
 def test_rows_aggregate_cell_means():
@@ -57,7 +60,7 @@ def test_rows_aggregate_cell_means():
         assert row.mean_energy == pytest.approx(
             np.mean([c.activation_energy for c in cells]), rel=1e-12)
         assert row.mean_accuracy == pytest.approx(
-            np.mean([c.accuracy for c in cells]), rel=1e-12)
+            np.mean([c.test_accuracy for c in cells]), rel=1e-12)
         baseline = next(r for r in report.rows if r.lam == 0.0)
         assert row.relative_energy == pytest.approx(
             row.mean_energy / baseline.mean_energy, rel=1e-12)
@@ -124,4 +127,9 @@ def test_load_sweep_rejects_malformed(tmp_path):
         load_sweep(bad)
     bad.write_text('{"dataset": "x"}')
     with pytest.raises(ParseError):
+        load_sweep(bad)
+    raw = _sweep(lambdas=(0.0,), seeds=(1,)).to_json_dict()
+    del raw["cells"][0]["seed"]  # a cell must be a loadable record
+    bad.write_text(json.dumps(raw))
+    with pytest.raises(ParseError, match="seed"):
         load_sweep(bad)

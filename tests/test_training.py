@@ -49,11 +49,12 @@ def test_two_runs_agree_except_wall_clock():
 
 
 def test_record_reflects_config_and_data():
-    model, rec = train(_config(lam=0.01, seed=9), DATA)
+    model, rec = train(_config(lam=0.01, seed=9, val_fraction=0.2), DATA)
     assert rec.architecture == "mlp"
     assert rec.dataset == "synth"
     assert rec.lam == 0.01
     assert rec.seed == 9
+    assert rec.val_fraction == 0.2
     assert rec.status == "ok"
     assert rec.activations == ["relu"]
     assert 0.0 <= rec.test_accuracy <= 1.0
