@@ -120,12 +120,16 @@ def record_from_dict(raw: dict[str, Any]) -> ExperimentRecord:
 
 
 def validate_record(record: ExperimentRecord) -> None:
-    """Check every field's type, the status, and that floats are finite."""
-    for key, (attr, types) in _SCHEMA.items():
-        value = getattr(record, attr)
-        if _wrong_type(value, types):
+    """Check every field's type, the status, and that floats are finite.
+
+    The finiteness check covers the top-level values of ``extra`` too.
+    """
+    stored = record.to_json_dict()
+    for key, (_, types) in _SCHEMA.items():
+        if _wrong_type(stored[key], types):
             raise ValidationError(f"record field {key!r} has wrong type "
-                                  f"{type(value).__name__}")
+                                  f"{type(stored[key]).__name__}")
+    for key, value in stored.items():
         # json would write NaN or Infinity, which are not standard JSON
         if isinstance(value, float) and not math.isfinite(value):
             raise ValidationError(f"record field {key!r} is non-finite")

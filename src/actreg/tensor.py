@@ -360,7 +360,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             dx = _col2im(np.matmul(wf.T, g), x.shape, kh, kw, stride, padding,
                          oh, ow)
         if w.requires_grad:
-            dw = np.einsum("nol,nkl->ok", g, cols).reshape(w.shape)
+            dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         return dx, dw, db
     out = np.matmul(wf, cols).reshape(n, o, oh, ow) + b.data[None, :, None, None]
     return _node(out, (x, w, b), backward)
@@ -369,30 +369,29 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 def max_pool2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; odd trailing rows or columns drop.
 
-    The gradient flows to the first maximal element of each window.
+    The gradient flows to each window's first maximal element in row-major order.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"max_pool2 needs (n, c, h, w), got {x.shape}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     oh, ow = h // 2, w // 2
     if oh == 0 or ow == 0:
         raise ShapeError(f"input {h}x{w} too small for 2x2 pooling")
-    win = (x.data[:, :, :oh * 2, :ow * 2]
-           .reshape(n, c, oh, 2, ow, 2)
-           .transpose(0, 1, 2, 4, 3, 5)
-           .reshape(n, c, oh, ow, 4))
-    idx = win.argmax(axis=-1)
+    # np.maximum returns its second argument on a tie (+-0, numpy 2.4), so
+    # the earlier element goes second and the row-major first one wins
+    x2 = x.data[:, :, :oh * 2, :ow * 2]
+    rows = np.maximum(x2[..., 1::2], x2[..., 0::2])
+    out = np.maximum(rows[:, :, 1::2], rows[:, :, 0::2])
 
     def backward(g):
-        dwin = np.zeros((n, c, oh, ow, 4), dtype=np.float64)
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
         dx = np.zeros_like(x.data)
-        dx[:, :, :oh * 2, :ow * 2] = (dwin.reshape(n, c, oh, ow, 2, 2)
-                                      .transpose(0, 1, 2, 4, 3, 5)
-                                      .reshape(n, c, oh * 2, ow * 2))
+        free = np.ones(out.shape, dtype=bool)
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            hit = (x2[:, :, i::2, j::2] == out) & free
+            dx[:, :, i:oh * 2:2, j:ow * 2:2] = np.where(hit, g, 0.0)
+            free &= ~hit
         return (dx,)
-    return _node(np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], (x,),
-                 backward)
+    return _node(out, (x,), backward)
 
 
 class Adam:

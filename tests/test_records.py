@@ -121,7 +121,9 @@ def test_save_refuses_invalid_record(tmp_path):
 @pytest.mark.parametrize("attr, key, value", [("lam", "lambda", float("inf")),
                                              ("lr", "lr", float("nan")),
                                              ("weight_decay", "weight_decay",
-                                              float("inf"))])
+                                              float("inf")),
+                                             ("extra", "power_w",
+                                              {"power_w": float("nan")})])
 def test_save_refuses_non_finite_hyperparameters(attr, key, value, tmp_path):
     # json would write them as Infinity or NaN, which is not standard JSON
     with pytest.raises(ValidationError, match=f"'{key}' is non-finite"):

@@ -124,19 +124,85 @@ def test_conv_padding_and_stride_shapes():
     assert conv2d(x, w, b, stride=2, padding=1).shape == (2, 5, 4, 4)
 
 
+def test_conv_weight_gradient_matches_einsum_reference():
+    # the weight gradient sums a batched matmul over the batch; the
+    # reference contracts batch and positions in one einsum over an
+    # independent window gather. Reordering a sum of k products moves it
+    # by at most about k * eps * sum(|products|), so the tolerance is
+    # relative to that sum, not to a result that may cancel to near 0
+    gen = make_generator(11)
+    for stride in (1, 2):
+        x = _leaf(gen.normal(size=(4, 3, 9, 9)))
+        w, b = _leaf(gen.normal(size=(5, 3, 3, 3))), _leaf(gen.normal(size=5))
+        out = conv2d(x, w, b, stride=stride, padding=1)
+        g = gen.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        oh, ow = out.shape[2:]
+        cols = np.stack([xp[:, :, r * stride:r * stride + 3, s * stride:s * stride + 3]
+                         .reshape(4, -1) for r in range(oh) for s in range(ow)],
+                        axis=-1)
+        dw, size = (np.einsum("nol,nkl->ok", a.reshape(4, 5, -1), c).reshape(w.shape)
+                    for a, c in ((g, cols), (np.abs(g), np.abs(cols))))
+        assert np.all(np.abs(w.grad - dw) <= 1e-12 * size)
+        np.testing.assert_allclose(b.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12, atol=0)
+
+
 def test_max_pool_forward_and_routing():
-    x = _leaf(np.array([[[[1.0, 2.0, 5.0, 1.0],
-                          [3.0, 4.0, 0.0, 2.0],
-                          [9.0, 1.0, 1.0, 3.0],
-                          [0.0, 2.0, 4.0, 8.0]]]]))
-    out = max_pool2(x)
-    np.testing.assert_array_equal(out.data, [[[[4.0, 5.0], [9.0, 8.0]]]])
-    out.sum().backward()
-    # gradient lands only on the winning element of each window
-    expect = np.zeros((1, 1, 4, 4))
-    expect[0, 0, 1, 1] = expect[0, 0, 0, 2] = 1.0
-    expect[0, 0, 2, 0] = expect[0, 0, 3, 3] = 1.0
-    np.testing.assert_array_equal(x.grad, expect)
+    # (input, pooled output, the elements that get out.sum()'s gradient)
+    cases = [
+        ([[1.0, 2.0, 5.0, 1.0],
+          [3.0, 4.0, 0.0, 2.0],
+          [9.0, 1.0, 1.0, 3.0],
+          [0.0, 2.0, 4.0, 8.0]], [[4.0, 5.0], [9.0, 8.0]],
+         [(1, 1), (0, 2), (2, 0), (3, 3)]),
+        # ties go to the row-major first: 7 at (0, 1) and (1, 0), -0 beside +0
+        ([[1.0, 7.0, -1.0, -0.0],
+          [7.0, 2.0, 0.0, -2.0]], [[7.0, 0.0]], [(0, 1), (0, 3)]),
+        # the trailing row and column of a 5x5 input hold its largest
+        # values but drop out of the pooling
+        (np.arange(25.0).reshape(5, 5), [[6.0, 8.0], [16.0, 18.0]],
+         [(1, 1), (1, 3), (3, 1), (3, 3)]),
+    ]
+    for data, pooled, winners in cases:
+        x = _leaf(np.asarray(data)[None, None])
+        out = max_pool2(x)
+        np.testing.assert_array_equal(out.data[0, 0], pooled)
+        out.sum().backward()
+        # gradient lands only on the winning element of each window
+        expect = np.zeros(x.shape)
+        for r, c in winners:
+            expect[0, 0, r, c] = 1.0
+        np.testing.assert_array_equal(x.grad, expect)
+
+
+def _window_argmax_pool(x, g):
+    """Reference 2x2 pooling: copy out each window, route by argmax."""
+    n, c, h, w = x.shape
+    oh, ow = h // 2, w // 2
+    win = (x[:, :, :oh * 2, :ow * 2].reshape(n, c, oh, 2, ow, 2)
+           .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4))
+    idx = win.argmax(axis=-1)[..., None]
+    dwin = np.zeros((n, c, oh, ow, 4))
+    np.put_along_axis(dwin, idx, g[..., None], axis=-1)
+    dx = np.zeros_like(x)
+    dx[:, :, :oh * 2, :ow * 2] = (dwin.reshape(n, c, oh, ow, 2, 2)
+                                  .transpose(0, 1, 2, 4, 3, 5)
+                                  .reshape(n, c, oh * 2, ow * 2))
+    return np.take_along_axis(win, idx, axis=-1)[..., 0], dx
+
+
+def test_max_pool_matches_window_argmax_reference_bit_for_bit():
+    # relu'd inputs rounded to one decimal tie often, at zero and above
+    gen = make_generator(5)
+    for shape in [(3, 2, 6, 6), (2, 3, 7, 5), (4, 8, 28, 28)]:
+        x = _leaf(np.round(np.maximum(gen.normal(size=shape), 0.0), 1))
+        g = gen.normal(size=(shape[0], shape[1], shape[2] // 2, shape[3] // 2))
+        out = max_pool2(x)
+        (out * Tensor(g)).sum().backward()
+        ref_out, ref_dx = _window_argmax_pool(x.data, g)
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert x.grad.tobytes() == ref_dx.tobytes()
 
 
 # --------------------------------------------------------------- backward
