@@ -100,29 +100,33 @@ def analyze_records(records: list[ExperimentRecord],
     naming the factor that lacks levels.
     """
     usable = _usable(records, response)
-    archs = sorted({r.architecture for r in usable})
-    datasets = sorted({r.dataset for r in usable})
+    rows = [(r.architecture, r.dataset, getattr(r, response)) for r in usable]
+    # One pass groups the responses by architecture, by dataset and by
+    # cell, each list in record order.
+    by_arch: dict[str, list[float]] = {}
+    by_dataset: dict[str, list[float]] = {}
+    by_cell: dict[tuple[str, str], list[float]] = {}
+    for arch, dataset, value in rows:
+        by_arch.setdefault(arch, []).append(value)
+        by_dataset.setdefault(dataset, []).append(value)
+        by_cell.setdefault((arch, dataset), []).append(value)
+    archs = sorted(by_arch)
+    datasets = sorted(by_dataset)
+    arch_groups = {a: by_arch[a] for a in archs}
     tables: list[Table] = []
 
-    def values(arch=None, dataset=None) -> list[float]:
-        return [getattr(r, response) for r in usable
-                if (arch is None or r.architecture == arch)
-                and (dataset is None or r.dataset == dataset)]
-
     if len(archs) >= 2 and len(datasets) >= 2:
-        rows = [(r.architecture, r.dataset, getattr(r, response)) for r in usable]
         sources = two_way_anova_type2(rows, factor_names=("architecture",
                                                           "dataset"))
         tables.append(_anova_table(sources,
                                    f"two-way anova ({response})"))
-        tables.append(_tukey_table(tukey_hsd({a: values(arch=a) for a in archs})))
+        tables.append(_tukey_table(tukey_hsd(arch_groups)))
     elif len(archs) >= 2:
-        groups = {a: values(arch=a) for a in archs}
-        tables.append(_anova_table([one_way_anova(groups)],
+        tables.append(_anova_table([one_way_anova(arch_groups)],
                                    f"one-way anova by architecture ({response})"))
-        tables.append(_tukey_table(tukey_hsd(groups)))
+        tables.append(_tukey_table(tukey_hsd(arch_groups)))
     elif len(datasets) >= 2:
-        groups = {d: values(dataset=d) for d in datasets}
+        groups = {d: by_dataset[d] for d in datasets}
         tables.append(_anova_table([one_way_anova(groups)],
                                    f"one-way anova by dataset ({response})"))
     else:
@@ -138,11 +142,11 @@ def analyze_records(records: list[ExperimentRecord],
         # Rank architectures within each dataset by mean response,
         # rank 1 best, then measure cross-dataset rank consistency.
         for d in datasets:
-            means = [float(np.mean(values(arch=a, dataset=d))) for a in archs]
+            means = [float(np.mean(by_cell[a, d])) for a in archs]
             for a, rank in zip(archs, rank_within(means, descending=True)):
                 ranks_by_arch[a].append(float(rank))
     for a in archs:
-        vals = values(arch=a)
+        vals = by_arch[a]
         ci = bootstrap_ci(vals, rng=0) if len(vals) >= 2 else None
         cv = coefficient_of_variation(vals) if len(vals) >= 2 else None
         rv = rank_variance(ranks_by_arch[a]) if ranks_by_arch[a] else None

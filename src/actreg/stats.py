@@ -1,20 +1,22 @@
 """Statistical tests and summaries for experiment records.
 
-Sums of squares, rank handling, the bootstrap, and the Wilcoxon
-enumeration are implemented here; tail probabilities come from scipy's
-F and studentized-range distributions. Degenerate inputs (zero variance
-everywhere) return flagged results instead of NaN so downstream tables
-never contain non-finite entries.
+Sums of squares, rank handling, the bootstrap, the Wilcoxon
+enumeration and the studentized-range tail are implemented here; the F
+tail comes from scipy. Degenerate inputs (zero variance everywhere)
+return flagged results instead of NaN so downstream tables never
+contain non-finite entries.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
+from scipy import special as _special
 from scipy import stats as _dist
 
 from .errors import ValidationError
@@ -201,6 +203,83 @@ def two_way_anova_type2(rows: Sequence[tuple[Hashable, Hashable, float]],
     return out
 
 
+# The outer range of _studentized_range_sf ends where the log-chi-square
+# density has fallen by this factor times df/2 below its mode.
+_SCALE_DROP = 30.0
+
+
+@functools.cache
+def _range_rules() -> tuple[np.ndarray, ...]:
+    """Fixed Gauss-Legendre rules for _studentized_range_sf, built on first use.
+
+    The inner rule covers z in [-9, 9] and carries the normal density in
+    its weights; the outer rule is used once on each side of the
+    log-chi-square mode. 96 inner and 2 x 64 outer nodes keep the tail
+    within 1e-10 of the adaptive reference for k <= 10 and df >= 2.
+    Built lazily because the eigenvalue solve behind the nodes maps in
+    about 1 MB of LAPACK that processes without a Tukey test never need.
+    """
+    z, w = np.polynomial.legendre.leggauss(96)
+    z = 9.0 * z
+    u, v = np.polynomial.legendre.leggauss(64)
+    rules = (z, w * np.exp(-0.5 * z * z), _special.ndtr(z), u, v)
+    for a in rules:
+        a.flags.writeable = False
+    return rules
+
+
+def _log_chi2_span(df: float) -> tuple[float, float]:
+    """Both ends of the outer range, as t = log(X / df) with X ~ chi2(df).
+
+    The density of t is proportional to exp(df/2 * (t - expm1(t))),
+    which peaks at t = 0; the ends are the two roots of
+    t - expm1(t) = -2 * _SCALE_DROP / df, found by Newton's method.
+    The root function is concave, so Newton steps from these starting
+    points approach each root from outside the range.
+    """
+    c = 2.0 * _SCALE_DROP / df
+    t = np.array([-c - 1.0, math.log(2.0 * (c + 1.0))])
+    for _ in range(100):
+        step = (t - np.expm1(t) + c) / -np.expm1(t)
+        t = t - step
+        if (np.abs(step) <= 1e-9 * np.abs(t)).all():
+            break
+    return float(t[0]), float(t[1])
+
+
+def _studentized_range_sf(q: np.ndarray, k: int, df: float) -> np.ndarray:
+    """Upper tail P(Q > q) of the studentized range, for an array of q.
+
+    Q = R / s with R the range of k standard normals and s^2 an
+    independent chi2(df) / df. The tail is the double integral that
+    R's ptukey evaluates (Copenhaver & Holland, 1988):
+
+        P(Q > q) = E_s[ k * int phi(z) (Phi(z)^(k-1)
+                                        - (Phi(z) - Phi(z - q s))^(k-1)) dz ]
+
+    Both integrals use fixed Gauss-Legendre nodes: z over [-9, 9], and
+    t = log(s^2) over the range where its density is within
+    exp(-_SCALE_DROP * df / 2) of its mode. Each rule's weights carry
+    its density (k phi Phi^(k-1) inside, the log-chi-square density
+    outside) and are scaled to sum to exactly 1, so no normalizing
+    constant is needed and q = 0 gives 1. What remains inside is
+    -expm1((k-1) * log1p(-Phi(z - q s) / Phi(z))), which falls with q
+    at every node, so the tail never increases with q.
+    """
+    z, z_w, z_cdf, u, u_w = _range_rules()
+    inner_w = z_w * z_cdf ** (k - 1)
+    inner_w /= inner_w.sum()
+    lo, hi = _log_chi2_span(df)
+    t = np.concatenate([0.5 * lo * (u + 1.0), 0.5 * hi * (u + 1.0)])
+    outer_w = (np.concatenate([-lo * u_w, hi * u_w])
+               * np.exp(0.5 * df * (t - np.expm1(t))))
+    outer_w /= outer_w.sum()
+    shifted = _special.ndtr(z - (q[:, None] * np.exp(0.5 * t))[:, :, None])
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives the full term
+        term = -np.expm1((k - 1) * np.log1p(-np.minimum(shifted / z_cdf, 1.0)))
+    return np.clip(term @ inner_w @ outer_w, 0.0, 1.0)
+
+
 def tukey_hsd(groups: Mapping[str, Sequence[float]],
               alpha: float = 0.05) -> list[TukeyPair]:
     """All pairwise comparisons with the studentized-range correction.
@@ -209,30 +288,24 @@ def tukey_hsd(groups: Mapping[str, Sequence[float]],
     harmonic mean of the two group sizes, so unequal sizes are handled
     by the Tukey-Kramer form. Adjusted p-values come from the
     studentized-range distribution with k groups and the pooled
-    within-group degrees of freedom.
+    within-group degrees of freedom, all pairs in one tail evaluation.
     """
     if not (0 < alpha < 1):
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     g = _clean_groups(groups)
     _, ssw, _, df2 = _between_within(g)
-    k = len(g)
     msw = ssw / df2
-    names = sorted(g)
-    pairs: list[TukeyPair] = []
-    for na, nb in combinations(names, 2):
-        a, b = g[na], g[nb]
-        diff = float(b.mean() - a.mean())
-        if msw == 0.0:
-            p = 1.0 if diff == 0.0 else 0.0
-            pairs.append(TukeyPair(na, nb, diff, 0.0, p, p < alpha,
-                                   degenerate=True))
-            continue
-        n_tilde = 2.0 / (1.0 / a.size + 1.0 / b.size)
-        q = abs(diff) / math.sqrt(msw / n_tilde)
-        p = float(_dist.studentized_range.sf(q, k, df2))
-        p = min(max(p, 0.0), 1.0)
-        pairs.append(TukeyPair(na, nb, diff, float(q), p, p < alpha))
-    return pairs
+    pairs = list(combinations(sorted(g), 2))
+    diffs = [float(g[nb].mean() - g[na].mean()) for na, nb in pairs]
+    if msw == 0.0:
+        ps = [1.0 if diff == 0.0 else 0.0 for diff in diffs]
+        return [TukeyPair(na, nb, diff, 0.0, p, p < alpha, degenerate=True)
+                for (na, nb), diff, p in zip(pairs, diffs, ps)]
+    qs = [abs(diff) / math.sqrt(msw / (2.0 / (1.0 / g[na].size + 1.0 / g[nb].size)))
+          for (na, nb), diff in zip(pairs, diffs)]
+    ps = _studentized_range_sf(np.array(qs), len(g), df2).tolist()
+    return [TukeyPair(na, nb, diff, q, p, p < alpha)
+            for (na, nb), diff, q, p in zip(pairs, diffs, qs, ps)]
 
 
 def bootstrap_ci(data: Sequence[float], n_iterations: int = 1000,

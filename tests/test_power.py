@@ -85,6 +85,10 @@ def test_replay_round_trip(tmp_path):
     assert samples[0] == PowerSample(0.0, 100.0, "training")
     assert samples[1].cpu_percent == 12.5
     assert samples[2].memory_percent == 55.5
+    # samples are immutable values whose auxiliary readings default to None
+    assert (samples[0].cpu_percent, samples[0].memory_percent) == (None, None)
+    with pytest.raises(AttributeError):
+        samples[0].watts = 0.0
 
 
 def test_replay_reports_line_numbers(tmp_path):
@@ -104,6 +108,23 @@ def test_replay_reports_line_numbers(tmp_path):
 
     path.write_text("1.0\t100.0\ttraining\n0.5\t100.0\ttraining\n")
     with pytest.raises(ParseError, match="line 2"):
+        replay_source(path)
+
+    path.write_text("0.0\t100.0\ttraining\n1.0\tnan\ttraining\n")
+    with pytest.raises(ParseError, match="non-finite.*line 2"):
+        replay_source(path)
+
+    path.write_text("inf\t100.0\ttraining\n")
+    with pytest.raises(ParseError, match="non-finite.*line 1"):
+        replay_source(path)
+
+    path.write_text("0.0\t100.0\ttraining\n1.0\t100.0\ttraining\n"
+                    "2.0\t-3.5\ttesting\n")
+    with pytest.raises(ParseError, match="negative.*line 3"):
+        replay_source(path)
+
+    path.write_text("0.0\t100.0\ttraining\t12.5\tlots\n")
+    with pytest.raises(ParseError, match="auxiliary.*line 1"):
         replay_source(path)
 
 

@@ -1,10 +1,12 @@
 """Statistics layer against independently computed references.
 
-Tail probabilities come from scipy inside the implementation; every
-frozen expectation here was recomputed from scratch with mpmath
-(direct quadrature of the F density, and the classic double-integral
-form of the studentized range distribution at 15 significant digits),
-so the two routes share no code.
+The F tail comes from scipy inside the implementation and the
+studentized-range tail from its own fixed-node quadrature. Every frozen
+expectation here was recomputed from scratch with mpmath (direct
+quadrature of the F density, and the classic double-integral form of
+the studentized range distribution at 15 significant digits), so the
+two routes share no code. The quadrature tail is also checked against
+the exact two-group form and against scipy's adaptive integration.
 """
 
 import itertools
@@ -15,7 +17,8 @@ import pytest
 
 from actreg.errors import ValidationError
 from actreg.rng import make_generator
-from actreg.stats import (bootstrap_ci, coefficient_of_variation, linear_fit,
+from actreg.stats import (_studentized_range_sf, bootstrap_ci,
+                          coefficient_of_variation, linear_fit,
                           one_way_anova, rank_variance, rank_within,
                           tukey_hsd, two_way_anova_type2,
                           wilcoxon_signed_rank)
@@ -181,7 +184,7 @@ def test_tukey_against_double_integral_oracle():
     for pair in pairs:
         q_ref, p_ref = TUKEY_ORACLE[(pair.group_a, pair.group_b)]
         assert pair.q == pytest.approx(q_ref, abs=1e-9)
-        assert pair.p_adj == pytest.approx(p_ref, abs=1e-3)
+        assert pair.p_adj == pytest.approx(p_ref, abs=1e-9)
         assert pair.reject  # all three separations are real at alpha 0.05
     # mean_diff reports group_b minus group_a
     diffs = {(p.group_a, p.group_b): p.mean_diff for p in pairs}
@@ -194,6 +197,45 @@ def test_tukey_critical_point_matches_oracle():
     # the implementation's tail must agree through the reject flag
     from scipy.stats import studentized_range
     assert studentized_range.isf(0.05, 3, 10) == pytest.approx(3.8768, abs=1e-3)
+    # the oracle's four decimals leave the tail there within 3e-6 of 5%
+    tail = _studentized_range_sf(np.array([3.8768]), 3, 10)[0]
+    assert tail == pytest.approx(0.05, abs=5e-6)
+
+
+def test_studentized_range_two_groups_matches_t_tail():
+    # With k = 2 the range of two normals is |Z1 - Z2| = sqrt(2) |N(0,1)|,
+    # so P(Q > q) = 2 * P(T_nu < -q / sqrt(2)) exactly
+    from scipy.special import stdtr
+    q = np.concatenate([[0.05, 0.1, 0.3], np.linspace(0.5, 15.0, 30)])
+    for nu in np.geomspace(2.0, 1e5, 13):
+        exact = 2.0 * stdtr(nu, -q / math.sqrt(2.0))
+        np.testing.assert_allclose(_studentized_range_sf(q, 2, nu), exact,
+                                   rtol=0, atol=1e-9, err_msg=f"nu={nu}")
+    exact = 2.0 * stdtr(1.0, -q / math.sqrt(2.0))
+    np.testing.assert_allclose(_studentized_range_sf(q, 2, 1.0), exact,
+                               rtol=0, atol=1e-6)
+
+
+def test_studentized_range_matches_scipy_integration():
+    # scipy's adaptive double integral is the oracle; about 17 ms a call
+    from scipy.stats import studentized_range
+    q = np.array([0.5, 2.5, 4.5, 8.0])
+    for nu in (2, 10, 1196, 5000):
+        for k in (3, 4, 10):
+            ref = [studentized_range.sf(x, k, nu) for x in q]
+            np.testing.assert_allclose(_studentized_range_sf(q, k, nu), ref,
+                                       rtol=0, atol=1e-9,
+                                       err_msg=f"k={k}, nu={nu}")
+
+
+def test_studentized_range_is_a_tail():
+    q = np.linspace(0.0, 20.0, 81)
+    for k in (2, 4, 10):
+        for nu in (1, 40, 1e4):
+            p = _studentized_range_sf(q, k, nu)
+            assert p[0] == pytest.approx(1.0, abs=1e-15)
+            assert ((p >= 0.0) & (p <= 1.0)).all()
+            assert (np.diff(p) <= 0.0).all(), f"k={k}, nu={nu}"
 
 
 def test_tukey_identical_groups_do_not_reject():
