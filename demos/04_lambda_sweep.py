@@ -1,6 +1,7 @@
 # Sweep the regularization weight over a grid of seeds and print the
 # aggregate table. The zero entry is the mandatory baseline every other
-# row is normalized against.
+# row is normalized against. The report is the cells' experiment
+# records; the table's rows are derived from them.
 
 import os
 import tempfile
@@ -15,14 +16,15 @@ report = run_lambda_sweep(data, ModelSpec("mlp", 32, 64, 4),
                           lambdas=(0.0, 1e-4, 1e-3, 1e-2), seeds=SEEDS,
                           lr=5e-3, batch_size=32, epochs=5, weight_decay=0.0)
 
-print(report.render_table())
+print(report.table().to_text())
 print()
 
-# reports serialize losslessly, so a sweep run on one machine can be
-# rendered or analyzed on another
+# a saved report holds only the cell records, and loading recomputes the
+# rows from them, so a sweep run on one machine can be rendered or
+# analyzed on another
 out = Path(tempfile.mkdtemp()) / "sweep.json"
 save_sweep(report, out)
 reloaded = load_sweep(out)
-assert reloaded.to_json_dict() == report.to_json_dict()
+assert reloaded == report and reloaded.rows == report.rows
 print(f"round-tripped through {out}")
 print(f"{len(report.cells)} cells, {len(report.failed)} failed")

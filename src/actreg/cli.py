@@ -29,8 +29,8 @@ from .errors import NonFiniteError, ParseError, ValidationError
 from .models import ModelSpec, build_model
 from .records import load_records, save_record
 from .rng import make_generator
-from .sweep import (DEFAULT_LAMBDAS, DEFAULT_SEEDS, load_sweep,
-                    run_lambda_sweep, save_sweep)
+from .sweep import (DEFAULT_EPOCHS, DEFAULT_LAMBDAS, DEFAULT_SEEDS,
+                    load_sweep, run_lambda_sweep, save_sweep)
 from .tensor import grad_check
 from .training import RunConfig, _batch_objective, train
 
@@ -44,19 +44,27 @@ def _int_pair(raw: str) -> tuple[int, int]:
     return tuple(parts)
 
 
-# Every setting's type and default. Flags use the same names with
+# Every setting's type and default; a key that ModelSpec or RunConfig
+# declares takes that class's default. Flags use the same names with
 # dashes; the telemetry pair keeps its dotted form in config files.
 _SETTINGS: dict[str, tuple[object, object]] = {
-    "arch": (str, "mlp"), "hidden_dim": (int, 64), "glia_ratio": (float, None),
-    "dense_dim": (int, 128), "conv_channels": (_int_pair, (8, 16)),
+    "arch": (str, "mlp"), "hidden_dim": (int, 64),
+    "glia_ratio": (float, ModelSpec.glia_ratio),
+    "dense_dim": (int, ModelSpec.dense_dim),
+    "conv_channels": (_int_pair, ModelSpec.conv_channels),
     "dataset": (str, "synth"), "dataset_name": (str, None),
     "data_dir": (str, None), "classes": (int, 4), "feature_dim": (int, 32),
     "per_class": (int, 250), "separation": (float, 1.0),
-    "dataset_seed": (int, 7), "lr": (float, 1e-3), "batch_size": (int, 32),
-    "max_epochs": (int, 50), "patience": (int, 10),
-    "weight_decay": (float, 1e-5), "lambda": (float, 0.0), "seed": (int, 42),
-    "val_fraction": (float, 0.1), "records_dir": (str, "records"),
-    "telemetry.command": (str, None), "telemetry.hz": (float, 1.0),
+    "dataset_seed": (int, 7), "lr": (float, RunConfig.lr),
+    "batch_size": (int, RunConfig.batch_size),
+    "max_epochs": (int, RunConfig.max_epochs),
+    "patience": (int, RunConfig.patience),
+    "weight_decay": (float, RunConfig.weight_decay),
+    "lambda": (float, RunConfig.lam), "seed": (int, RunConfig.seed),
+    "val_fraction": (float, RunConfig.val_fraction),
+    "records_dir": (str, "records"),
+    "telemetry.command": (str, RunConfig.telemetry_command),
+    "telemetry.hz": (float, RunConfig.telemetry_hz),
 }
 
 # The keys each subcommand takes: its flags, its config-file keys and,
@@ -188,7 +196,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         data, template, lambdas, seeds, lr=s["lr"],
         batch_size=s["batch_size"], epochs=args.epochs,
         weight_decay=s["weight_decay"])
-    print(report.render_table())
+    print(report.table().to_text())
     if report.failed:
         print(f"{len(report.failed)} cell(s) diverged and were excluded",
               file=sys.stderr)
@@ -278,10 +286,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.kind == "sweep":
         if not args.infile:
             raise ValidationError("report sweep needs --in FILE")
-        report = load_sweep(args.infile)
-        print(f"{report.architecture} on {report.dataset}, "
-              f"{report.epochs} epochs, seeds {report.seeds}")
-        print(report.render_table())
+        print(load_sweep(args.infile).table().to_text())
         return 0
     # anova
     if not args.records:
@@ -309,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lambdas", default=None,
                          help="comma-separated grid, must include 0")
     p_sweep.add_argument("--seeds", default=None, help="comma-separated seeds")
-    p_sweep.add_argument("--epochs", type=int, default=5)
+    p_sweep.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
     p_sweep.add_argument("--out", default=None, help="write the report JSON here")
     p_sweep.add_argument("--records-dir-out", default=None,
                          help="also save every cell's experiment record")

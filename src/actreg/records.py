@@ -90,51 +90,49 @@ _REQUIRED = tuple(key for key, f in _STORED
                   if f.default is MISSING and f.default_factory is MISSING)
 
 
-def _wrong_type(value, types) -> bool:
-    return not isinstance(value, types) or isinstance(value, bool)
+def _split(stored: dict[str, Any]) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Split stored fields into (attributes, extra), raising ParseError on a
+    wrong type, a non-finite top-level float or an unknown status."""
+    known: dict[str, Any] = {}
+    extra: dict[str, Any] = {}
+    for key, value in stored.items():
+        entry = _SCHEMA.get(key)
+        if entry is None:
+            extra[key] = value
+        elif not isinstance(value, entry[1]) or isinstance(value, bool):
+            raise ParseError(f"field {key!r} has wrong type "
+                             f"{type(value).__name__}")
+        else:
+            known[entry[0]] = value
+        # json would write NaN or Infinity, which are not standard JSON
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParseError(f"field {key!r} is non-finite")
+    if known.get("status", "ok") not in ("ok", "diverged"):
+        raise ParseError(f"field 'status' has unknown value {known['status']!r}")
+    return known, extra
 
 
 def record_from_dict(raw: dict[str, Any]) -> ExperimentRecord:
     """Build a record from parsed JSON, preserving unknown keys.
 
-    Raises ParseError when a required field is missing or any
-    documented field has the wrong type.
+    Raises ParseError when a required field is missing or the record
+    fails the checks ``save_record`` applies.
     """
     if not isinstance(raw, dict):
         raise ParseError(f"record must be a JSON object, got {type(raw).__name__}")
     for key in _REQUIRED:
         if key not in raw:
             raise ParseError(f"missing required field {key!r}")
-    known: dict[str, Any] = {}
-    extra: dict[str, Any] = {}
-    for key, value in raw.items():
-        if key in _SCHEMA:
-            attr, types = _SCHEMA[key]
-            if _wrong_type(value, types):
-                raise ParseError(f"field {key!r} has wrong type "
-                                 f"{type(value).__name__}")
-            known[attr] = value
-        else:
-            extra[key] = value
+    known, extra = _split(raw)
     return ExperimentRecord(**known, extra=extra)
 
 
 def validate_record(record: ExperimentRecord) -> None:
-    """Check every field's type, the status, and that floats are finite.
-
-    The finiteness check covers the top-level values of ``extra`` too.
-    """
-    stored = record.to_json_dict()
-    for key, (_, types) in _SCHEMA.items():
-        if _wrong_type(stored[key], types):
-            raise ValidationError(f"record field {key!r} has wrong type "
-                                  f"{type(stored[key]).__name__}")
-    for key, value in stored.items():
-        # json would write NaN or Infinity, which are not standard JSON
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(f"record field {key!r} is non-finite")
-    if record.status not in ("ok", "diverged"):
-        raise ValidationError(f"unknown status {record.status!r}")
+    """Raise ValidationError on what loading refuses: see ``_split``."""
+    try:
+        _split(record.to_json_dict())
+    except ParseError as exc:
+        raise ValidationError(f"record {exc}") from None
 
 
 def record_filename(record: ExperimentRecord) -> str:
@@ -193,7 +191,7 @@ def load_records(directory) -> tuple[list[ExperimentRecord], list[str]]:
         raise ValidationError(f"{directory} is not a directory")
     records: list[ExperimentRecord] = []
     issues: list[str] = []
-    for path in sorted(d.glob("*.json")):
+    for path in sorted(d.glob("*.json"), key=str):
         try:
             records.append(load_record(path))
         except (ParseError, OSError) as exc:

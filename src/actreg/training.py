@@ -81,31 +81,37 @@ def _batch_objective(model: Model, xb: np.ndarray, yb: np.ndarray, lam: float):
 def _eval_objective(model: Model, x: np.ndarray, y: np.ndarray, lam: float,
                     batch_size: int = 256) -> float:
     """Mean objective over a dataset, weighted exactly by batch sizes."""
+    n = x.shape[0]
+    if n == 0:
+        raise ValidationError("dataset is empty")
     total = 0.0
     with no_grad():
-        for start in range(0, x.shape[0], batch_size):
+        for start in range(0, n, batch_size):
             xb, yb = x[start:start + batch_size], y[start:start + batch_size]
             total += _batch_objective(model, xb, yb, lam).item() * xb.shape[0]
-    return total / x.shape[0]
+    return total / n
 
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray,
              batch_size: int = 256) -> tuple[float, float, int]:
     """Accuracy, mean cross-entropy, and the correct-prediction count.
 
-    Raises NonFiniteError when the cross-entropy is not finite.
+    Raises ValidationError when x has no rows and NonFiniteError when
+    the cross-entropy is not finite.
     """
+    n = x.shape[0]
+    if n == 0:
+        raise ValidationError("dataset is empty")
     correct = 0
     ce_total = 0.0
     with no_grad():
-        for start in range(0, x.shape[0], batch_size):
+        for start in range(0, n, batch_size):
             xb, yb = x[start:start + batch_size], y[start:start + batch_size]
             trace = forward_traced(model, xb)
             correct += int(np.sum(trace.logits.data.argmax(axis=1) == yb))
             ce_total += softmax_cross_entropy(trace.logits, yb).item() * xb.shape[0]
     if not np.isfinite(ce_total):
         raise NonFiniteError("evaluation cross-entropy is non-finite")
-    n = x.shape[0]
     return correct / n, ce_total / n, correct
 
 

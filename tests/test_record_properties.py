@@ -6,14 +6,14 @@ field added to the record is covered without editing this file.
 
 import json
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actreg.records import ExperimentRecord, record_from_dict
-from actreg.sweep import SweepReport, SweepRow, load_sweep, save_sweep
+from actreg.sweep import SweepReport, load_sweep, save_sweep
 
 INTS = st.integers(-2**53, 2**53)
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -31,14 +31,21 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=6)
+# status is the one str field with a closed set of values
 RECORDS = st.builds(
     ExperimentRecord,
     **{f.name: BY_ANNOTATION[f.type] for f in fields(ExperimentRecord)
-       if f.name != "extra"},
+       if f.name not in ("extra", "status")},
+    status=st.sampled_from(("ok", "diverged")),
     extra=st.dictionaries(st.text(max_size=8).filter(lambda k: k not in STORED_KEYS),
                           JSON_VALUES, max_size=3))
-ROWS = st.builds(SweepRow, lam=FLOATS, mean_accuracy=FLOATS, mean_energy=FLOATS,
-                 relative_energy=FLOATS, seeds_ok=INTS)
+# sweep cells carry the metrics train() reports, so their means are finite
+MEASURED = st.floats(min_value=0.0, max_value=1e6)
+CELLS = st.builds(replace, RECORDS, lam=st.sampled_from((0.0, 1e-3, 1e-2)),
+                  test_accuracy=MEASURED, activation_energy=MEASURED)
+BASELINES = st.builds(replace, RECORDS, lam=st.just(0.0), status=st.just("ok"),
+                      test_accuracy=MEASURED,
+                      activation_energy=st.floats(min_value=1e-6, max_value=1e6))
 
 
 @settings(max_examples=60, deadline=None)
@@ -49,12 +56,13 @@ def test_record_survives_json_round_trip(record):
 
 
 @settings(max_examples=30, deadline=None)
-@given(cells=st.lists(RECORDS, max_size=4), rows=st.lists(ROWS, max_size=3),
-       seeds=st.lists(INTS, max_size=3))
-def test_sweep_report_survives_save_and_load(cells, rows, seeds):
-    report = SweepReport(dataset="d", architecture="mlp", hidden_dim=8,
-                         epochs=2, seeds=seeds, cells=cells, rows=rows)
+@given(baseline=BASELINES, cells=st.lists(CELLS, max_size=4),
+       position=st.integers(0, 4))
+def test_sweep_report_survives_save_and_load(baseline, cells, position):
+    cells.insert(position, baseline)
+    report = SweepReport(cells)
     with tempfile.TemporaryDirectory() as d:
         back = load_sweep(save_sweep(report, Path(d) / "sweep.json"))
     assert back == report
+    assert back.rows == report.rows
     assert back.failed == report.failed

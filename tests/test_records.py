@@ -143,6 +143,21 @@ def test_load_records_skips_malformed(tmp_path):
     assert any("incomplete.json" in msg for msg in issues)
 
 
+@pytest.mark.parametrize("key, value", [("test_accuracy", float("nan")),
+                                        ("lambda", float("inf")),
+                                        ("power_w", float("-inf")),
+                                        ("status", "exploded")])
+def test_load_refuses_what_save_refuses(key, value, tmp_path):
+    save_record(_record(seed=1), tmp_path)
+    # json writes NaN and Infinity, which save_record itself never does
+    (tmp_path / "bad.json").write_text(json.dumps({**_record().to_json_dict(),
+                                                   key: value}))
+    records, issues = load_records(tmp_path)
+    assert [r.seed for r in records] == [1]
+    assert len(issues) == 1 and "bad.json" in issues[0]
+    assert repr(key) in issues[0]
+
+
 def test_load_records_requires_directory(tmp_path):
     with pytest.raises(ValidationError):
         load_records(tmp_path / "missing")

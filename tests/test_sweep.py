@@ -1,10 +1,12 @@
 """Lambda sweeps: baseline identity, aggregation, persistence."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from actreg.cli import main
 from actreg.datasets import synth_blobs
 from actreg.errors import ParseError, ValidationError
 from actreg.models import ModelSpec
@@ -34,8 +36,8 @@ def test_baseline_relative_energy_is_exactly_one():
     rows = {r.lam: r for r in report.rows}
     assert rows[0.0].relative_energy == 1.0  # definitionally exact
     assert rows[0.0].seeds_ok == 2
-    assert report.dataset == "synth"
-    assert report.architecture == "mlp"
+    assert report.cells[0].dataset == "synth"
+    assert report.cells[0].architecture == "mlp"
 
 
 def test_baseline_cell_matches_plain_training_bitwise():
@@ -100,24 +102,88 @@ def test_template_dims_are_rebound_to_dataset():
     template = ModelSpec("mlp", 99, 10, 7)  # wrong dims on purpose
     report = run_lambda_sweep(DATA, template, lambdas=(0.0,), seeds=(1, 2),
                               epochs=1, batch_size=32)
-    assert report.hidden_dim == 10
+    assert report.cells[0].hidden_dim == 10
     assert all(c.status == "ok" for c in report.cells)
 
 
 def test_render_table_layout():
-    text = _sweep().render_table()
-    lines = text.splitlines()
-    assert lines[0].split() == ["lambda", "accuracy_pct", "activation_energy",
+    table = _sweep().table()
+    lines = table.to_text().splitlines()
+    assert lines[0] == "mlp on synth, hidden 10, 2 epochs, seeds 42,123"
+    assert lines[1].split() == ["lambda", "accuracy_pct", "activation_energy",
                                 "relative_energy", "seeds_ok"]
-    assert set(lines[1]) <= {"-", " "}
-    assert len(lines) == 2 + 2  # header, rule, one row per lambda
+    assert set(lines[2]) <= {"-", " "}
+    assert len(lines) == 3 + 2  # title, header, rule, one row per lambda
+    assert table.to_csv().splitlines()[1].startswith("0.0,")
 
 
 def test_save_load_round_trip(tmp_path):
     report = _sweep()
     path = save_sweep(report, tmp_path / "sweep.json")
+    assert json.loads(path.read_text()).keys() == {"cells"}
     back = load_sweep(path)
-    assert back.to_json_dict() == report.to_json_dict()
+    assert back == report
+    assert back.rows == report.rows
+
+
+def _parent_layout(report):
+    """The file layout that also stored grid settings and rows."""
+    c = report.cells[0]
+    return {"dataset": c.dataset, "architecture": c.architecture,
+            "hidden_dim": c.hidden_dim, "epochs": c.max_epochs,
+            "seeds": [42, 123],
+            "cells": [cell.to_json_dict() for cell in report.cells],
+            "rows": [asdict(r) for r in report.rows]}
+
+
+def test_parent_layout_loads_with_equal_rows(tmp_path):
+    report = _sweep()
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(_parent_layout(report)))
+    assert load_sweep(path).rows == report.rows
+
+
+def test_loaded_rows_follow_the_cells_not_stored_rows(tmp_path):
+    report = _sweep()
+    raw = _parent_layout(report)
+    edited = next(c for c in raw["cells"] if c["lambda"] == 1e-2)
+    edited["activation_energy"] *= 2
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(raw))
+    back = load_sweep(path)
+    assert back.rows[0] == report.rows[0]
+    cells = [c["activation_energy"] for c in raw["cells"] if c["lambda"] == 1e-2]
+    assert back.rows[1].mean_energy == float(np.mean(cells))
+    assert back.rows[1].mean_energy > report.rows[1].mean_energy
+
+
+@pytest.mark.parametrize("edit", ["diverge", "drop"])
+def test_load_refuses_a_file_without_a_finished_baseline(edit, tmp_path):
+    raw = _sweep().to_json_dict()
+    baseline = [c for c in raw["cells"] if c["lambda"] == 0.0]
+    for cell in baseline:
+        if edit == "diverge":
+            cell.update(status="diverged", test_accuracy=None,
+                        activation_energy=None)
+        else:
+            raw["cells"].remove(cell)
+    path = tmp_path / "no_baseline.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ParseError, match="lam = 0"):
+        load_sweep(path)
+
+
+def test_sweep_defaults_are_run_config_defaults(tmp_path):
+    # neither path sets lr, batch size or weight decay
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--classes", "3", "--feature-dim", "6",
+                 "--per-class", "30", "--hidden-dim", "8", "--epochs", "1",
+                 "--lambdas", "0", "--seeds", "42", "--out", str(out)]) == 0
+    library = run_lambda_sweep(DATA, TEMPLATE, lambdas=(0.0,), seeds=(42,),
+                               epochs=1)
+    for cell in load_sweep(out).cells + library.cells:
+        assert (cell.lr, cell.batch_size, cell.weight_decay) == \
+            (RunConfig.lr, RunConfig.batch_size, RunConfig.weight_decay)
 
 
 def test_load_sweep_rejects_malformed(tmp_path):

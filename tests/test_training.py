@@ -184,6 +184,16 @@ def test_evaluation_rejects_non_finite_results():
             dataset_activation_energy(model, DATA.test_x)
 
 
+def test_evaluation_rejects_an_empty_split():
+    model = build_model(ModelSpec("mlp", 8, 12, 3), seed=3)
+    x, y = DATA.test_x[:0], DATA.test_y[:0]
+    for evaluation in (lambda: evaluate(model, x, y),
+                       lambda: _eval_objective(model, x, y, 0.1),
+                       lambda: dataset_activation_energy(model, x)):
+        with pytest.raises(ValidationError, match="empty"):
+            evaluation()
+
+
 def test_dim_mismatch_is_rejected():
     with pytest.raises(ValidationError):
         train(_config(model=ModelSpec("mlp", 9, 12, 3)), DATA)
