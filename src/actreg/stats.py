@@ -2,9 +2,11 @@
 
 Sums of squares, rank handling, the bootstrap, the Wilcoxon
 enumeration and the studentized-range tail are implemented here; the F
-tail comes from scipy. Degenerate inputs (zero variance everywhere)
-return flagged results instead of NaN so downstream tables never
-contain non-finite entries.
+tail is ``scipy.special.fdtrc``, the function behind scipy's ``f.sf``.
+``scipy.special`` is imported on the first call that needs it, so
+importing actreg loads no scipy. Degenerate inputs (zero variance
+everywhere) return flagged results instead of NaN so downstream tables
+never contain non-finite entries.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from itertools import combinations
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy import special as _special
-from scipy import stats as _dist
 
 from .errors import ValidationError
 from .rng import Seed, make_generator
@@ -113,8 +113,9 @@ def one_way_anova(groups: Mapping[str, Sequence[float]]) -> AnovaSource:
     if ssw == 0.0:
         return AnovaSource("group", 0.0, 1.0 if ssb == 0.0 else 0.0, df1, df2,
                            0.0 if ssb == 0.0 else 1.0, degenerate=True)
+    from scipy.special import fdtrc
     f = (ssb / df1) / (ssw / df2)
-    p = float(_dist.f.sf(f, df1, df2))
+    p = float(fdtrc(df1, df2, f))
     return AnovaSource("group", float(f), p, df1, df2, ssb / (ssb + ssw))
 
 
@@ -187,6 +188,7 @@ def two_way_anova_type2(rows: Sequence[tuple[Hashable, Hashable, float]],
         factor_names[1]: max(rss_a - rss_ab, 0.0),
         f"{factor_names[0]}:{factor_names[1]}": max(rss_ab - rss_full, 0.0),
     }
+    from scipy.special import fdtrc
     dfs = [df1a, df1b, df_int]
     sse = rss_full
     out = []
@@ -198,7 +200,7 @@ def two_way_anova_type2(rows: Sequence[tuple[Hashable, Hashable, float]],
                                    degenerate=True))
             continue
         f = (ss_eff / df1) / (sse / df_err)
-        out.append(AnovaSource(name, float(f), float(_dist.f.sf(f, df1, df_err)),
+        out.append(AnovaSource(name, float(f), float(fdtrc(df1, df_err, f)),
                                df1, df_err, ss_eff / (ss_eff + sse)))
     return out
 
@@ -219,10 +221,11 @@ def _range_rules() -> tuple[np.ndarray, ...]:
     Built lazily because the eigenvalue solve behind the nodes maps in
     about 1 MB of LAPACK that processes without a Tukey test never need.
     """
+    from scipy.special import ndtr
     z, w = np.polynomial.legendre.leggauss(96)
     z = 9.0 * z
     u, v = np.polynomial.legendre.leggauss(64)
-    rules = (z, w * np.exp(-0.5 * z * z), _special.ndtr(z), u, v)
+    rules = (z, w * np.exp(-0.5 * z * z), ndtr(z), u, v)
     for a in rules:
         a.flags.writeable = False
     return rules
@@ -266,6 +269,7 @@ def _studentized_range_sf(q: np.ndarray, k: int, df: float) -> np.ndarray:
     -expm1((k-1) * log1p(-Phi(z - q s) / Phi(z))), which falls with q
     at every node, so the tail never increases with q.
     """
+    from scipy.special import ndtr
     z, z_w, z_cdf, u, u_w = _range_rules()
     inner_w = z_w * z_cdf ** (k - 1)
     inner_w /= inner_w.sum()
@@ -274,7 +278,7 @@ def _studentized_range_sf(q: np.ndarray, k: int, df: float) -> np.ndarray:
     outer_w = (np.concatenate([-lo * u_w, hi * u_w])
                * np.exp(0.5 * df * (t - np.expm1(t))))
     outer_w /= outer_w.sum()
-    shifted = _special.ndtr(z - (q[:, None] * np.exp(0.5 * t))[:, :, None])
+    shifted = ndtr(z - (q[:, None] * np.exp(0.5 * t))[:, :, None])
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives the full term
         term = -np.expm1((k - 1) * np.log1p(-np.minimum(shifted / z_cdf, 1.0)))
     return np.clip(term @ inner_w @ outer_w, 0.0, 1.0)

@@ -39,6 +39,11 @@ def _rows(cells: list[ExperimentRecord]) -> list[SweepRow]:
     ok: dict[float, list[ExperimentRecord]] = {}
     for c in cells:
         if c.status == "ok":
+            missing = [f for f in ("test_accuracy", "activation_energy")
+                       if getattr(c, f) is None]
+            if missing:
+                raise ValidationError(f"cell lam={c.lam:g} seed={c.seed} is ok "
+                                      f"but has no {' or '.join(missing)}")
             ok.setdefault(c.lam, []).append(c)
     if not ok.get(0.0):
         raise ValidationError("no lam = 0 baseline cell finished; no reference "

@@ -401,7 +401,11 @@ class Adam:
     ``param.data`` to a view of it, so ``step`` is a few vectorized ops
     on one array; the moments ``m`` and ``v`` are flat as well. A
     parameter may be listed only once, because two views of one tensor
-    would alias.
+    would alias. ``step`` gathers the gradients into a scratch buffer of
+    ``flat``'s size and computes in place in it and in a second one, all
+    allocated here, so a step allocates no array of the model's size.
+    Temporaries of that size, freed every step, let malloc hand the heap
+    top back to the OS, and each step would page-fault it in again.
 
     L2 weight decay is folded into the gradient before the moment
     updates (grad += weight_decay * param), the classic coupled form.
@@ -436,6 +440,9 @@ class Adam:
             start += p.size
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
+        self._grad = np.empty_like(self.flat)
+        self._tmp = np.empty_like(self.flat)
+        self._finite = np.empty(self.flat.shape, dtype=bool)
         self.step_count = 0
 
     def zero_grad(self) -> None:
@@ -456,8 +463,9 @@ class Adam:
             elif g.shape != p.shape:
                 raise ShapeError(f"grad shape {g.shape} does not match param {p.shape}")
             grads.append(g.ravel())
-        g = np.concatenate(grads)
-        if not np.isfinite(g).all():
+        g, a, finite = self._grad, self._tmp, self._finite
+        np.concatenate(grads, out=g)
+        if not np.isfinite(g, out=finite).all():
             raise NonFiniteError("gradient contains non-finite values")
         beta1, beta2, eps = self.beta1, self.beta2, self.eps
         self.step_count += 1
@@ -465,14 +473,19 @@ class Adam:
         c1 = 1.0 - beta1 ** t
         c2 = 1.0 - beta2 ** t
         p, m, v = self.flat, self.m, self.v
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), with decay folded
+        # into g first, one ufunc at a time in that expression's order
+        # so every bit matches it; g holds the denominator at the end
         if self.weight_decay:
-            g += self.weight_decay * p
+            g += np.multiply(self.weight_decay, p, out=a)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(1.0 - beta1, g, out=a)
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        if not np.isfinite(p).all():
+        v += np.multiply(1.0 - beta2, np.multiply(g, g, out=a), out=a)
+        np.multiply(self.lr, np.divide(m, c1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, c2, out=g), out=g), eps, out=g)
+        p -= np.divide(a, g, out=a)
+        if not np.isfinite(p, out=finite).all():
             raise NonFiniteError("parameters became non-finite after the update")
 
 

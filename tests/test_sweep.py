@@ -173,6 +173,22 @@ def test_load_refuses_a_file_without_a_finished_baseline(edit, tmp_path):
         load_sweep(path)
 
 
+@pytest.mark.parametrize("null", [("test_accuracy",), ("activation_energy",),
+                                  ("test_accuracy", "activation_energy")])
+def test_load_names_an_ok_cell_with_null_metrics(null, tmp_path):
+    # records from external logs may carry null metrics with status ok
+    broken = ExperimentRecord("mlp", "synth", 42, 0.5, lam=0.01,
+                              activation_energy=1.0)
+    raw = {"cells": [ExperimentRecord("mlp", "synth", 42, 0.9,
+                                      activation_energy=2.0).to_json_dict(),
+                     {**broken.to_json_dict(), **dict.fromkeys(null)}]}
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ParseError, match=f"lam=0.01 seed=42 is ok but has no "
+                                         f"{' or '.join(null)}$"):
+        load_sweep(path)
+
+
 def test_sweep_defaults_are_run_config_defaults(tmp_path):
     # neither path sets lr, batch size or weight decay
     out = tmp_path / "sweep.json"

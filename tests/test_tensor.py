@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -598,6 +599,23 @@ def test_adam_rejects_non_finite_gradient_without_changing_state():
         np.testing.assert_array_equal(opt.m, m)
         np.testing.assert_array_equal(opt.v, v)
         assert opt.step_count == 1
+
+
+def test_adam_step_allocates_no_array_of_the_model_size():
+    # per-step temporaries of flat's size page-fault each time the heap regrows
+    model = build_model(ModelSpec("cnn", 784, 64, 10), seed=24)
+    opt = Adam(model.parameters(), lr=1e-3, weight_decay=1e-5)
+    gen = make_generator(24)
+    grads = [gen.normal(size=p.shape) for p in opt.params]
+    for p, g in zip(opt.params, grads):
+        p.grad = g
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < opt.flat.nbytes / 2
 
 
 def test_adam_rejects_parameters_that_overflow():
