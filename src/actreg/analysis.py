@@ -60,6 +60,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def dropped_counts(records: list[ExperimentRecord], response: str) -> tuple[int, int]:
+    """Records an analysis of ``response`` leaves out, by cause.
+
+    Returns (did not complete, completed but lack ``response``).
+    """
+    failed = sum(r.status != "ok" for r in records)
+    lacking = sum(r.status == "ok" and getattr(r, response) is None for r in records)
+    return failed, lacking
+
+
 def _usable(records: list[ExperimentRecord], response: str) -> list[ExperimentRecord]:
     if response not in RESPONSES:
         raise ValidationError(f"unknown response {response!r}, expected one "
@@ -69,7 +79,7 @@ def _usable(records: list[ExperimentRecord], response: str) -> list[ExperimentRe
     if not out:
         if not records:
             raise ValidationError("no records were found")
-        failed = sum(r.status != "ok" for r in records)
+        failed, _ = dropped_counts(records, response)
         raise ValidationError(f"no completed records carry {response!r}: {failed} of "
                               f"{len(records)} did not complete, the rest lack it")
     return out

@@ -23,11 +23,11 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import analyze_records, parameter_count_table
+from .analysis import analyze_records, dropped_counts, parameter_count_table
 from .datasets import DatasetHandle, load_idx_dataset, synth_blobs
 from .errors import NonFiniteError, ParseError, ValidationError
 from .models import ModelSpec, build_model
-from .records import load_records, save_record
+from .records import load_records, record_filename, save_record
 from .rng import make_generator
 from .sweep import (DEFAULT_EPOCHS, DEFAULT_LAMBDAS, DEFAULT_SEEDS,
                     load_sweep, run_lambda_sweep, save_sweep)
@@ -152,6 +152,15 @@ def _add_settings(p: argparse.ArgumentParser, keys) -> None:
                        dest=key.replace(".", "_"), type=_SETTINGS[key][0])
 
 
+def _save_record(record, directory) -> Path:
+    """``save_record``, saying on stderr when it replaced an existing file."""
+    replaced = (Path(directory) / record_filename(record)).exists()
+    path = save_record(record, directory)
+    if replaced:
+        print(f"warning: replaced {path}", file=sys.stderr)
+    return path
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     s = _resolve_settings(args, _RUN_KEYS)
     data = _make_dataset(s)
@@ -163,7 +172,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                        telemetry_command=s["telemetry.command"],
                        telemetry_hz=s["telemetry.hz"])
     _, record = train(config, data)
-    path = save_record(record, s["records_dir"])
+    path = _save_record(record, s["records_dir"])
     if record.status != "ok":
         print(f"run diverged after {record.epochs_run} epochs; record: {path}",
               file=sys.stderr)
@@ -205,7 +214,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sweep report: {path}")
     if args.records_dir_out:
         for record in report.cells:
-            save_record(record, args.records_dir_out)
+            _save_record(record, args.records_dir_out)
         print(f"cell records: {args.records_dir_out}")
     return 0
 
@@ -261,7 +270,13 @@ def _analyze(args: argparse.Namespace):
     records, issues = load_records(args.records)
     for issue in issues:
         print(f"warning: skipped {issue}", file=sys.stderr)
-    return analyze_records(records, response=args.response)
+    tables = analyze_records(records, response=args.response)
+    failed, lacking = dropped_counts(records, args.response)
+    if failed or lacking:
+        print(f"warning: analysis dropped {failed + lacking} of {len(records)} "
+              f"records: {failed} did not complete, {lacking} lack "
+              f"{args.response!r}", file=sys.stderr)
+    return tables
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

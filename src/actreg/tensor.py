@@ -298,10 +298,17 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
             oh: int, ow: int) -> np.ndarray:
-    """Gather sliding windows into (n, c*kh*kw, oh*ow)."""
+    """Gather sliding windows into (n, c*kh*kw, oh*ow).
+
+    With padding, the windows are read from one zero-bordered copy of
+    ``x``: a zeroed array with ``x`` written into its interior, which
+    takes about half the time of ``np.pad`` at the cnn's shapes.
+    """
     n, c, h, w = x.shape
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
+        xp[:, :, padding:padding + h, padding:padding + w] = x
+        x = xp
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
@@ -362,18 +369,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         if w.requires_grad:
             dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         return dx, dw, db
-    out = np.matmul(wf, cols).reshape(n, o, oh, ow) + b.data[None, :, None, None]
-    return _node(out, (x, w, b), backward)
+    out = np.matmul(wf, cols)
+    out += b.data[:, None]  # in place: no second output-sized array
+    return _node(out.reshape(n, o, oh, ow), (x, w, b), backward)
 
 
 def max_pool2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; odd trailing rows or columns drop.
 
-    The gradient flows to each window's first maximal element in row-major order.
+    The gradient flows to each window's first maximal element in
+    row-major order. The backward reads the winner off the forward's row
+    maxima: the bottom row wins only if its maximum is strictly larger
+    than the top row's, and within the winning row the right element
+    wins only if it is strictly larger than the left one. Ties, +-0
+    among them, go to the earlier element.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"max_pool2 needs (n, c, h, w), got {x.shape}")
-    h, w = x.shape[2:]
+    n, c, h, w = x.shape
     oh, ow = h // 2, w // 2
     if oh == 0 or ow == 0:
         raise ShapeError(f"input {h}x{w} too small for 2x2 pooling")
@@ -384,12 +397,19 @@ def max_pool2(x: Tensor) -> Tensor:
     out = np.maximum(rows[:, :, 1::2], rows[:, :, 0::2])
 
     def backward(g):
-        dx = np.zeros_like(x.data)
-        free = np.ones(out.shape, dtype=bool)
-        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            hit = (x2[:, :, i::2, j::2] == out) & free
-            dx[:, :, i:oh * 2:2, j:ow * 2:2] = np.where(hit, g, 0.0)
-            free &= ~hit
+        bottom = rows[:, :, 1::2] > rows[:, :, 0::2]
+        right = x2[..., 1::2] > x2[..., 0::2]
+        right = (bottom & right[:, :, 1::2]) | (~bottom & right[:, :, 0::2])
+        # the winner's flat index in x, built in one index array: a row
+        # for the bottom row, one for the right column, plus the window's
+        # top-left corner
+        idx = np.multiply(bottom, w, dtype=np.intp)
+        idx += right
+        idx += np.arange(0, n * c * h * w, h * w).reshape(n, c, 1, 1)
+        idx += np.arange(0, oh * 2 * w, 2 * w)[:, None]
+        idx += np.arange(0, ow * 2, 2)
+        dx = np.zeros((n, c, h, w), dtype=np.float64)
+        dx.reshape(-1)[idx] = g
         return (dx,)
     return _node(out, (x,), backward)
 

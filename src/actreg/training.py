@@ -171,6 +171,9 @@ def train(config: RunConfig, data: DatasetHandle) -> tuple[Model, ExperimentReco
                     optimizer.zero_grad()
                     loss.backward()
                     optimizer.step()
+                    # the graph holds every activation and the conv columns;
+                    # freed here, it is not alive through validation and testing
+                    del loss
                 epochs_run = epoch + 1
                 if val_x.shape[0] == 0:
                     continue

@@ -8,7 +8,7 @@ import pytest
 
 from actreg.cli import build_parser, main, parse_config
 from actreg.errors import ParseError, ValidationError
-from actreg.records import load_records
+from actreg.records import ExperimentRecord, load_records, save_record
 from actreg.sweep import load_sweep
 
 
@@ -38,6 +38,22 @@ def test_runs_differing_in_one_setting_keep_separate_files(tmp_path, capsys):
         for v in values:
             assert _run(*SMALL_RUN, flag, v, "--records-dir", str(directory)) == 0
         assert len(os.listdir(directory)) == 2, flag
+
+
+def test_run_and_sweep_say_when_they_replace_a_record(tmp_path, capsys):
+    # the record does not store --separation, so both runs name one file
+    for sep in ("1.0", "3.0"):
+        assert _run(*SMALL_RUN, "--separation", sep,
+                    "--records-dir", str(tmp_path / "run")) == 0
+        err = capsys.readouterr().err
+        assert ("warning: replaced" in err) == (sep == "3.0")
+    (name,) = os.listdir(tmp_path / "run")
+    assert name.startswith("mlp_synth_h8_lam0_seed42_")
+    assert f"warning: replaced {tmp_path / 'run' / name}" in err
+    for repeat in (False, True):
+        assert _run(*SMALL_SWEEP, "--records-dir-out", str(tmp_path / "cells")) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: replaced") == (2 if repeat else 0)
 
 
 def test_run_unknown_architecture_is_config_error(tmp_path, capsys):
@@ -211,6 +227,28 @@ def test_analyze_over_generated_records(tmp_path, capsys):
     written = os.listdir(tmp_path / "tables")
     assert "summary.txt" in written
     assert any(name.endswith(".csv") for name in written)
+
+
+def test_analyze_says_which_records_it_dropped(tmp_path, capsys):
+    base = dict(dataset="synth", hidden_dim=8, input_dim=6, output_dim=3, lr=1e-3,
+                batch_size=32, lam=0.0, max_epochs=2, patience=2, epochs_run=2,
+                status="ok", test_loss=0.4, activation_energy=10.0, param_count=100)
+    for i, arch in enumerate(("mlp", "mlp", "mlp", "bimodal", "bimodal", "bimodal")):
+        save_record(ExperimentRecord(architecture=arch, seed=i,
+                                     test_accuracy=0.7 + 0.01 * i, **base), tmp_path)
+    diverged = dict(base, status="diverged", epochs_run=1, test_loss=None,
+                    activation_energy=None)
+    for seed in (10, 11):
+        save_record(ExperimentRecord(architecture="mlp", seed=seed,
+                                     test_accuracy=None, **diverged), tmp_path)
+    save_record(ExperimentRecord(architecture="bimodal", seed=12, test_accuracy=None,
+                                 **base), tmp_path)
+    for argv in (("analyze",), ("report", "anova")):
+        assert _run(*argv, "--records", str(tmp_path)) == 0
+        captured = capsys.readouterr()
+        assert "anova" in captured.out
+        assert ("warning: analysis dropped 3 of 9 records: 2 did not complete, "
+                "1 lack 'test_accuracy'") in captured.err
 
 
 def test_analyze_insufficient_levels(tmp_path, capsys):

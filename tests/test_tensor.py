@@ -206,6 +206,108 @@ def test_max_pool_matches_window_argmax_reference_bit_for_bit():
         assert x.grad.tobytes() == ref_dx.tobytes()
 
 
+def _four_pass_pool(x, g):
+    """Reference 2x2 pooling: the earlier kernel, one masked pass per position."""
+    oh, ow = x.shape[2] // 2, x.shape[3] // 2
+    x2 = x[:, :, :oh * 2, :ow * 2]
+    rows = np.maximum(x2[..., 1::2], x2[..., 0::2])
+    out = np.maximum(rows[:, :, 1::2], rows[:, :, 0::2])
+    dx = np.zeros_like(x)
+    free = np.ones(out.shape, dtype=bool)
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hit = (x2[:, :, i::2, j::2] == out) & free
+        dx[:, :, i:oh * 2:2, j:ow * 2:2] = np.where(hit, g, 0.0)
+        free &= ~hit
+    return out, dx
+
+
+def _assert_pool_matches_four_pass(data, gen):
+    x = _leaf(data)
+    out = max_pool2(x)
+    g = gen.normal(size=out.shape)
+    (out * Tensor(g)).sum().backward()
+    ref_out, ref_dx = _four_pass_pool(x.data, g)
+    assert out.data.tobytes() == ref_out.tobytes()
+    assert x.grad.tobytes() == ref_dx.tobytes()
+
+
+def test_max_pool_matches_four_pass_reference_bit_for_bit():
+    gen = make_generator(13)
+    # every 2x2 window over {-1, -0, +0, 1}: each tie pattern, +-0 ties
+    # and the (0, 1)/(1, 0) tie among them
+    values = np.array([-1.0, -0.0, 0.0, 1.0])
+    windows = values[np.indices((4,) * 4).reshape(4, -1).T]
+    _assert_pool_matches_four_pass(
+        windows.reshape(1, -1, 2, 2).transpose(0, 2, 1, 3).reshape(1, 1, 2, -1), gen)
+    _assert_pool_matches_four_pass(
+        np.array([[1.0, 7.0, -1.0, -0.0], [7.0, 2.0, 0.0, -2.0]])[None, None], gen)
+    # after a ReLU most windows are all zero; odd trailing rows and
+    # columns drop
+    for shape in [(4, 8, 28, 28), (2, 3, 7, 5), (3, 2, 9, 4), (1, 1, 3, 3)]:
+        pre = _leaf(gen.normal(size=shape) - 1.0)
+        _assert_pool_matches_four_pass(relu(pre).data, gen)
+
+
+def _padded_conv(x, w, b, g, stride, padding):
+    """Reference conv2d forward and gradients: the earlier np.pad im2col."""
+    n, c, h, wid = x.shape
+    o, _, kh, kw = w.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wid + 2 * padding - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, kh, kw, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride,
+                                  j:j + stride * ow:stride]
+    cols = cols.reshape(n, c * kh * kw, oh * ow)
+    wf = w.reshape(o, c * kh * kw)
+    out = np.matmul(wf, cols).reshape(n, o, oh, ow) + b[None, :, None, None]
+    g3 = g.reshape(n, o, oh * ow)
+    d6 = np.matmul(wf.T, g3).reshape(n, c, kh, kw, oh, ow)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d6[:, :, i, j]
+    dw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    return (out, dxp[:, :, padding:padding + h, padding:padding + wid], dw,
+            g.sum(axis=(0, 2, 3)))
+
+
+def test_conv_matches_padded_reference_bit_for_bit():
+    gen = make_generator(17)
+    for padding in (0, 1, 2):
+        for stride in (1, 2):
+            x = _leaf(gen.normal(size=(3, 2, 9, 8)))
+            w, b = _leaf(gen.normal(size=(4, 2, 3, 3))), _leaf(gen.normal(size=4))
+            out = conv2d(x, w, b, stride=stride, padding=padding)
+            g = gen.normal(size=out.shape)
+            (out * Tensor(g)).sum().backward()
+            ref = _padded_conv(x.data, w.data, b.data, g, stride, padding)
+            for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (padding, stride)
+
+
+def test_conv_forward_allocates_no_second_output():
+    # the bias is added into the matmul output, not into a copy of it
+    gen = make_generator(19)
+    n, c, o, side, k, pad = 8, 1, 8, 28, 3, 1
+    x = Tensor(gen.normal(size=(n, c, side, side)))
+    w, b = Tensor(gen.normal(size=(o, c, k, k))), Tensor(gen.normal(size=o))
+    padded = n * c * (side + 2 * pad) ** 2 * 8
+    cols = n * c * k * k * side * side * 8
+    out = n * o * side * side * 8
+    with no_grad():
+        tracemalloc.start()
+        try:
+            conv2d(x, w, b, padding=pad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= padded + cols + out
+
+
 # --------------------------------------------------------------- backward
 
 def test_fan_out_accumulates():

@@ -174,6 +174,32 @@ def test_evaluation_builds_no_graph_and_matches_a_graph_forward(monkeypatch):
                    for t in traces for a in t.hidden_activations)
 
 
+def test_no_training_graph_is_alive_during_validation_and_testing(monkeypatch):
+    # a step's graph holds every activation (and a cnn's conv columns);
+    # one still alive under an evaluation pass is memory the pass cannot use
+    import weakref
+
+    import actreg.training
+    losses = []
+
+    def recording_objective(*args):
+        loss = _batch_objective(*args)
+        losses.append(weakref.ref(loss.data))
+        return loss
+
+    def checked(real):
+        def evaluation(*args, **kwargs):
+            assert all(ref() is None for ref in losses)
+            return real(*args, **kwargs)
+        return evaluation
+    monkeypatch.setattr(actreg.training, "_batch_objective", recording_objective)
+    for name in ("_eval_objective", "evaluate", "dataset_activation_energy"):
+        monkeypatch.setattr(actreg.training, name,
+                            checked(getattr(actreg.training, name)))
+    _, record = train(_config(max_epochs=2), DATA)
+    assert record.status == "ok" and record.epochs_run == 2 and losses
+
+
 def test_evaluation_rejects_non_finite_results():
     model = build_model(ModelSpec("mlp", 8, 12, 3), seed=3)
     model.params["hidden1_w"].data[...] = 1e308
