@@ -50,6 +50,10 @@ class DatasetHandle:
             raise ValidationError("feature and label counts differ")
         if self.train_x.shape[0] == 0 or self.test_x.shape[0] == 0:
             raise ValidationError("both splits must be nonempty")
+        # a NaN here would otherwise surface as a "diverged" run
+        for split, x in (("train", self.train_x), ("test", self.test_x)):
+            if not np.isfinite(x).all():
+                raise ValidationError(f"{split} features contain non-finite values")
         if self.classes < 2:
             raise ValidationError(f"need at least 2 classes, got {self.classes}")
         for y in (self.train_y, self.test_y):

@@ -26,12 +26,18 @@ def activation_energy(trace: ForwardTrace) -> Tensor:
     if not acts:
         raise ValidationError("trace has no hidden activations")
     total = sum((a.data * a.data).sum() * (1.0 / a.shape[0]) for a in acts)
-    # Each activation is a parent once per factor of a * a and gets c * a
-    # from each, added one at a time as through a mul node: a single
-    # 2 * c * a rounds differently once the activation holds a gradient.
-    return _node(total, tuple(a for a in acts for _ in (0, 1)),
-                 lambda g: [ga for a in acts
-                            for ga in (float(g * (1.0 / a.shape[0])) * a.data,) * 2])
+
+    def backward(g):
+        # Each activation is a parent once per factor of a * a and gets
+        # c * a from each, added one at a time as through a mul node: a
+        # single 2 * c * a rounds differently once the activation holds a
+        # gradient.
+        grads = []
+        for a in acts:
+            ga = float(g * (1.0 / a.data.shape[0])) * a.data
+            grads += (ga, ga)
+        return grads
+    return _node(total, tuple(a for a in acts for _ in (0, 1)), backward)
 
 
 def regularized_loss(ce, energy, lam: float):

@@ -10,7 +10,10 @@ reference counting frees it as soon as its loss is dropped.
 ``backward()`` on a scalar walks the recorded graph once in reverse
 topological order and is the only place gradients are accumulated: the
 first one a node receives is assigned (copied for leaves, which own
-their arrays), later ones are added, so fan-out is handled correctly.
+their arrays), the second is added into a new array, and later ones are
+added in place into that sum, so fan-out is handled correctly. Only
+arrays the engine allocated itself are written in place, never one a
+backward closure returned, which may alias another gradient.
 Only the operations needed by the model zoo are provided, one node per
 layer (``linear`` and ``conv2d`` take their bias); shapes must match exactly.
 
@@ -40,6 +43,7 @@ Backward = Callable[[np.ndarray], Sequence[np.ndarray | None]]
 
 # Read only by ``_node``; set through ``no_grad``.
 _grad_enabled = True
+_FLOAT64 = np.dtype(np.float64)
 
 
 @contextmanager
@@ -96,8 +100,10 @@ class Tensor:
 
         Visits every reachable interior node exactly once, children
         before parents; leaves receive their gradients from the nodes
-        that use them. A node's first gradient is assigned and later
-        ones are added, never in place.
+        that use them. A node's first gradient is assigned, its second
+        is added into a new array, and later ones are added in place
+        into that sum. Arrays that closures return are never written:
+        one may be a pass-through of another node's gradient.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() starts from a scalar, shape is {self.shape}")
@@ -119,19 +125,21 @@ class Tensor:
                 if parent._parents and parent not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
+        summed: set[Tensor] = set()  # nodes whose grad this call allocated
         for node in reversed(order):
             if node._backward is None:
                 continue
             for parent, g in zip(node._parents, node._backward(node.grad)):
                 if not parent.requires_grad:
                     continue
-                if parent.grad is not None:
-                    parent.grad = parent.grad + g
-                elif parent._parents:
-                    parent.grad = g
-                else:
+                if parent.grad is None:
                     # a leaf owns its gradient: ops may pass arrays through
-                    parent.grad = g.copy()
+                    parent.grad = g if parent._parents else g.copy()
+                elif parent in summed:
+                    parent.grad += g
+                else:
+                    parent.grad = parent.grad + g
+                    summed.add(parent)
 
     def sum(self) -> "Tensor":
         """Sum of all elements as a scalar tensor."""
@@ -184,7 +192,9 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward: Backward) -> 
     closure. The output is not checked for finiteness.
     """
     out = Tensor.__new__(Tensor)
-    out.data = np.asarray(data, dtype=np.float64)
+    # ops hand over float64 arrays, which need no conversion
+    out.data = (data if type(data) is np.ndarray and data.dtype is _FLOAT64
+                else np.asarray(data, dtype=np.float64))
     out.grad = None
     if _grad_enabled:
         # a loop, not any() over a generator: this runs for every op output
@@ -213,9 +223,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Dense layer x @ w + b: an (n, i) batch, (i, o) weights and an (o,) bias."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or w.shape != (x.shape[1], b.shape[0]):
+    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
+    if len(xs) != 2 or len(bs) != 1 or ws != (xs[1], bs[0]):
         raise ShapeError(f"linear needs (n, i), (i, o) and (o,) operands, got "
-                         f"{x.shape}, {w.shape} and {b.shape}")
+                         f"{xs}, {ws} and {bs}")
     return _node(x.data @ w.data + b.data, (x, w, b),
                  lambda g: (g @ w.data.T if x.requires_grad else None,
                             x.data.T @ g, g.sum(axis=0)))
@@ -236,10 +247,10 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp of a nonpositive argument never overflows; each branch is the
-    # sign's stable form
+    # exp of a nonpositive argument never overflows; the numerator picks
+    # each sign's stable form, 1 / (1 + e) or e / (1 + e), for one divide
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -254,9 +265,14 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
             if ax != axis % ndim and p.shape[ax] != parts[0].shape[ax]:
                 raise ShapeError(f"concat shapes differ off-axis: "
                                  f"{parts[0].shape} vs {p.shape}")
-    widths = [p.shape[axis % ndim] for p in parts]
+    # each part's gradient is a basic slice of g along the axis
+    lead = (slice(None),) * (axis % ndim)
+    index, stop = [], 0
+    for p in parts:
+        start, stop = stop, stop + p.data.shape[axis]
+        index.append(lead + (slice(start, stop),))
     return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
-                 lambda g: np.split(g, np.cumsum(widths)[:-1], axis=axis))
+                 lambda g: [g[i] for i in index])
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -271,27 +287,33 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of softmax(logits) against integer labels.
 
     Stabilized by max subtraction, so arbitrarily large logits do not
-    overflow. The gradient reaching ``logits`` is (softmax - onehot) / n.
+    overflow. The gradient reaching ``logits`` is (softmax - onehot) / n;
+    the backward reuses the forward's exponentials and their row sums,
+    which give ``softmax(logits)`` bit for bit.
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"logits must be (batch, classes), got {logits.shape}")
     y = np.asarray(labels)
-    n, k = logits.shape
+    n, k = logits.data.shape
     if y.shape != (n,):
         raise ShapeError(f"labels shape {y.shape} does not match batch {n}")
-    if not np.issubdtype(y.dtype, np.integer):
+    if n == 0:
+        raise ValidationError("cross-entropy of an empty batch")
+    if y.dtype.kind not in "iu":
         raise ValidationError("labels must be integers")
-    bad = np.nonzero((y < 0) | (y >= k))[0]
-    if bad.size:
+    if y.min() < 0 or y.max() >= k:
+        bad = np.nonzero((y < 0) | (y >= k))[0]
         raise ValidationError(f"label {int(y[bad[0]])} out of range [0, {k}) "
                               f"at row {int(bad[0])}")
+    rows = np.arange(n)
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(lse - z[np.arange(n), y]))
+    e = np.exp(z)
+    s = e.sum(axis=1, keepdims=True)
+    loss = (np.log(s[:, 0]) - z[rows, y]).sum() / n
 
     def backward(g):
-        d = softmax(logits.data)
-        d[np.arange(n), y] -= 1.0
+        d = e / s
+        d[rows, y] -= 1.0
         return (float(g) * d / n,)
     return _node(np.array(loss), (logits,), backward)
 

@@ -84,6 +84,8 @@ def _eval_objective(model: Model, x: np.ndarray, y: np.ndarray, lam: float,
     n = x.shape[0]
     if n == 0:
         raise ValidationError("dataset is empty")
+    if batch_size < 1:
+        raise ValidationError("batch_size must be >= 1")
     total = 0.0
     with no_grad():
         for start in range(0, n, batch_size):
@@ -96,12 +98,14 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray,
              batch_size: int = 256) -> tuple[float, float, int]:
     """Accuracy, mean cross-entropy, and the correct-prediction count.
 
-    Raises ValidationError when x has no rows and NonFiniteError when
-    the cross-entropy is not finite.
+    Raises ValidationError when x has no rows or batch_size is below 1,
+    and NonFiniteError when the cross-entropy is not finite.
     """
     n = x.shape[0]
     if n == 0:
         raise ValidationError("dataset is empty")
+    if batch_size < 1:
+        raise ValidationError("batch_size must be >= 1")
     correct = 0
     ce_total = 0.0
     with no_grad():

@@ -177,3 +177,16 @@ def test_handle_validation():
         DatasetHandle("d", x, y[:3], x, y, classes=2)
     with pytest.raises(ValidationError):
         DatasetHandle("d", x, y, x, np.array([0, 1, 0, 5]), classes=2)
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_handle_rejects_non_finite_features(split, bad):
+    # a NaN feature is a data error, not a training run that diverged
+    x = np.zeros((4, 3))
+    y = np.array([0, 1, 0, 1])
+    broken = x.copy()
+    broken[2, 1] = bad
+    splits = {"train_x": x, "test_x": x, f"{split}_x": broken}
+    with pytest.raises(ValidationError, match=f"^{split} features .*non-finite"):
+        DatasetHandle("d", splits["train_x"], y, splits["test_x"], y, classes=2)

@@ -107,6 +107,49 @@ def test_cross_entropy_rejects_bad_labels():
         softmax_cross_entropy(logits, np.array([0.0, 1.0]))
 
 
+def test_cross_entropy_rejects_an_empty_batch():
+    with pytest.raises(ValidationError, match="empty batch"):
+        softmax_cross_entropy(_leaf(np.zeros((0, 3))), np.zeros(0, dtype=np.int64))
+
+
+def _two_exp_cross_entropy(z, y, g):
+    # reference loss and logit gradient: np.mean for the loss and a
+    # second softmax, computed from the logits again, for the gradient
+    n = z.shape[0]
+    zz = z - z.max(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(np.exp(zz).sum(axis=1)) - zz[np.arange(n), y]))
+    d = softmax(z)
+    d[np.arange(n), y] -= 1.0
+    return loss, g * d / n
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_cross_entropy_matches_two_exp_reference_bit_for_bit(dtype):
+    gen = make_generator(21)
+    z = np.clip(gen.normal(size=(40, 7)) * 300.0, -700.0, 700.0)
+    z[0] = [700.0, -700.0, 0.0, 700.0, -700.0, 1.0, -1.0]
+    z[1] = 700.0
+    y = gen.integers(0, 7, size=40).astype(dtype)
+    logits = _leaf(z)
+    loss = softmax_cross_entropy(logits, y)
+    (loss * 0.37).backward()
+    ref_loss, ref_grad = _two_exp_cross_entropy(z, y, 0.37)
+    assert loss.item() == ref_loss
+    np.testing.assert_array_equal(logits.grad, ref_grad)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_cross_entropy_names_the_first_bad_label_and_its_row(dtype):
+    logits = _leaf(np.zeros((5, 4)))
+    with pytest.raises(ValidationError,
+                       match=r"^label 9 out of range \[0, 4\) at row 2$"):
+        softmax_cross_entropy(logits, np.array([0, 3, 9, 1, 4], dtype=dtype))
+    if dtype != np.uint8:
+        with pytest.raises(ValidationError,
+                           match=r"^label -1 out of range \[0, 4\) at row 1$"):
+            softmax_cross_entropy(logits, np.array([0, -1, 9, 1, 2], dtype=dtype))
+
+
 def test_conv_ones_fixture():
     # 3x3 ones convolved with a single 2x2 ones kernel, no padding:
     # every 2x2 window sums to 4
@@ -332,6 +375,69 @@ def test_leaves_own_their_gradients():
     assert a.grad is not b.grad
     np.testing.assert_array_equal(a.grad, np.ones(2))
     np.testing.assert_array_equal(b.grad, np.ones(2))
+
+
+def _out_of_place_backward(root):
+    # the engine's walk with every sum in a new array: the reference for
+    # in-place accumulation
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if p._parents and p not in seen)
+    grads = {root: np.ones_like(root.data)}
+    for node in reversed(order):
+        for parent, g in zip(node._parents, node._backward(grads[node])):
+            if parent.requires_grad:
+                grads[parent] = grads[parent] + g if parent in grads else g
+    return grads
+
+
+def test_many_incoming_gradients_match_out_of_place_accumulation():
+    # h receives five gradients: one passed straight through by an add,
+    # whose other parent c shares that very array, two from h * h and two
+    # more; any write into an array a closure returned would change c's
+    # or h's gradient
+    gen = make_generator(13)
+    values = [gen.normal(size=(6, 5)) for _ in range(3)]
+
+    def graph():
+        a, b, w = (_leaf(v) for v in values)
+        h = tanh(a)
+        c = relu(b)
+        u = h + c
+        loss = (u * w).sum() + (h * h).sum() + (h * 3.0 + h * w).sum()
+        return loss, (a, b, w), h, c
+
+    loss, leaves, h, c = graph()
+    loss.backward()
+    ref_loss, ref_leaves, ref_h, ref_c = graph()
+    ref = _out_of_place_backward(ref_loss)
+    np.testing.assert_array_equal(h.grad, ref[ref_h])
+    np.testing.assert_array_equal(c.grad, ref[ref_c])
+    for leaf, ref_leaf in zip(leaves, ref_leaves):
+        np.testing.assert_array_equal(leaf.grad, ref[ref_leaf])
+
+
+def test_concat_backward_matches_split():
+    gen = make_generator(17)
+    for axis, shapes in ((0, [(2, 3), (4, 3), (1, 3)]),
+                         (1, [(3, 2), (3, 4), (3, 1)])):
+        parts = [_leaf(gen.normal(size=s)) for s in shapes]
+        out = concat(parts, axis=axis)
+        g = gen.normal(size=out.shape)
+        widths = [s[axis] for s in shapes]
+        ref = np.split(g, np.cumsum(widths)[:-1], axis=axis)
+        got = out._backward(g)
+        assert len(got) == len(ref)
+        for piece, ref_piece in zip(got, ref):
+            assert piece.shape == ref_piece.shape
+            np.testing.assert_array_equal(piece, ref_piece)
 
 
 def test_step_graph_is_freed_by_reference_counting():

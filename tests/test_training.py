@@ -220,6 +220,17 @@ def test_evaluation_rejects_an_empty_split():
             evaluation()
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluation_rejects_a_batch_size_below_one(batch_size):
+    model = build_model(ModelSpec("mlp", 8, 12, 3), seed=3)
+    x, y = DATA.test_x, DATA.test_y
+    for evaluation in (lambda: evaluate(model, x, y, batch_size=batch_size),
+                       lambda: _eval_objective(model, x, y, 0.1, batch_size),
+                       lambda: dataset_activation_energy(model, x, batch_size)):
+        with pytest.raises(ValidationError, match="batch_size"):
+            evaluation()
+
+
 def test_dim_mismatch_is_rejected():
     with pytest.raises(ValidationError):
         train(_config(model=ModelSpec("mlp", 9, 12, 3)), DATA)
