@@ -4,7 +4,7 @@
 import numpy as np
 
 from actreg import (ModelSpec, activation_energy, build_model,
-                    forward_traced, param_count, parameter_count_table)
+                    forward_traced, param_count_for, parameter_count_table)
 from actreg.rng import make_generator
 
 gen = make_generator(1)
@@ -23,7 +23,7 @@ for spec in specs:
     trace = forward_traced(model, batch)
     widths = [t.shape for t in trace.hidden_activations]
     e = activation_energy(trace).item()
-    print(f"{spec.arch:8s} params={param_count(model):7d}  "
+    print(f"{spec.arch:8s} params={param_count_for(spec):7d}  "
           f"logits={trace.logits.shape}  energy={e:8.2f}  "
           f"hidden shapes={widths}")
 
@@ -32,7 +32,7 @@ for spec in specs:
 print()
 for ratio in (0.25, 0.5, 1.0, 2.0):
     spec = ModelSpec("bimodal", 64, 32, 5, glia_ratio=ratio)
-    print(f"glia_ratio={ratio:4.2f} -> {param_count(build_model(spec, 0)):6d} params")
+    print(f"glia_ratio={ratio:4.2f} -> {param_count_for(spec):6d} params")
 
 # published reference sizes at hidden_dim=1024
 print()

@@ -12,8 +12,7 @@ from .datasets import (DatasetHandle, load_idx_dataset, load_idx_images,
                        load_idx_labels, synth_blobs)
 from .errors import NonFiniteError, ParseError, ShapeError, ValidationError
 from .models import (ARCHITECTURES, ForwardTrace, Model, ModelSpec,
-                     build_model, forward_traced, param_count,
-                     param_count_for, spec_with_dims)
+                     build_model, forward_traced, param_count_for)
 from .objective import (activation_energy, dataset_activation_energy,
                         regularized_loss)
 from .power import (EnergyReport, LiveSource, PowerSample, energy_per_correct,
@@ -42,10 +41,9 @@ __all__ = [
     "energy_per_correct", "evaluate", "forward_traced", "grad_check",
     "integrate", "linear_fit", "live_source", "load_idx_dataset",
     "load_idx_images", "load_idx_labels", "load_record", "load_records",
-    "load_sweep", "make_generator", "one_way_anova", "param_count",
-    "param_count_for", "parameter_count_table", "rank_variance",
-    "rank_within", "regularized_loss", "replay_source", "run_lambda_sweep",
-    "save_record", "save_sweep", "seed_protocol", "softmax_cross_entropy",
-    "spec_with_dims", "synth_blobs", "train", "tukey_hsd",
-    "two_way_anova_type2", "wilcoxon_signed_rank",
+    "load_sweep", "make_generator", "one_way_anova", "param_count_for",
+    "parameter_count_table", "rank_variance", "rank_within",
+    "regularized_loss", "replay_source", "run_lambda_sweep", "save_record",
+    "save_sweep", "seed_protocol", "softmax_cross_entropy", "synth_blobs",
+    "train", "tukey_hsd", "two_way_anova_type2", "wilcoxon_signed_rank",
 ]

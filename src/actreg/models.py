@@ -14,7 +14,7 @@ zero. All draws come from a seeded Philox stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,24 +90,17 @@ class ModelSpec:
 
     @property
     def image_shape(self) -> tuple[int, int, int]:
-        """Infer (channels, side, side) from a flat input width.
-
-        A perfect square is one grayscale channel; three times a perfect
-        square is an RGB image. Anything else is rejected.
+        """(1, side, side): a flat input width must be a perfect square,
+        read as one grayscale channel. Anything else is rejected.
         """
         s = math.isqrt(self.input_dim)
-        if s * s == self.input_dim:
-            shape = (1, s, s)
-        elif self.input_dim % 3 == 0 and 3 * math.isqrt(self.input_dim // 3) ** 2 == self.input_dim:
-            shape = (3, math.isqrt(self.input_dim // 3))
-            shape = (3, shape[1], shape[1])
-        else:
+        if s * s != self.input_dim:
             raise ValidationError(f"input_dim {self.input_dim} is not a square "
-                                  f"grayscale or RGB image size")
-        if shape[1] < 4:
-            raise ValidationError(f"image side {shape[1]} too small for two "
+                                  f"grayscale image size")
+        if s < 4:
+            raise ValidationError(f"image side {s} too small for two "
                                   f"rounds of 2x2 pooling")
-        return shape
+        return (1, s, s)
 
 
 @dataclass(frozen=True)
@@ -177,11 +170,6 @@ def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
 def param_count_for(spec: ModelSpec) -> int:
     """Exact trainable parameter count, computed from shapes alone."""
     return sum(int(np.prod(s)) for s in param_shapes(spec).values())
-
-
-def param_count(model: Model) -> int:
-    """Exact trainable parameter count of a built model."""
-    return sum(p.size for p in model.parameters())
 
 
 # Weight tensors drawn Kaiming-uniform; everything else Xavier-uniform.
@@ -271,7 +259,3 @@ def forward_traced(model: Model, batch) -> ForwardTrace:
     logits = _linear(a3, p, "output")
     return ForwardTrace(logits, [a1, a2, a3])
 
-
-def spec_with_dims(template: ModelSpec, input_dim: int, output_dim: int) -> ModelSpec:
-    """Rebind a spec template to a dataset's dimensions."""
-    return replace(template, input_dim=input_dim, output_dim=output_dim)

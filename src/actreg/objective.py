@@ -53,25 +53,31 @@ def regularized_loss(ce, energy, lam: float):
     return ce + float(lam) * energy
 
 
-def dataset_activation_energy(model: Model, features: np.ndarray,
-                              batch_size: int = 256) -> float:
-    """Mean activation energy of a model over a whole dataset.
+# rows per forward pass of every whole-split evaluation
+EVAL_ROWS = 256
 
-    Computed in batches; the result is the per-example mean, summed over
-    layers, identical to what a single full-dataset forward would give.
-    Raises NonFiniteError when the result is not finite.
-    """
-    n = features.shape[0]
+
+def _eval_batches(n: int) -> list[slice]:
+    """Row slices of EVAL_ROWS covering a split of n rows, which must be > 0."""
     if n == 0:
         raise ValidationError("dataset is empty")
-    if batch_size < 1:
-        raise ValidationError("batch_size must be >= 1")
+    return [slice(start, start + EVAL_ROWS) for start in range(0, n, EVAL_ROWS)]
+
+
+def dataset_activation_energy(model: Model, features: np.ndarray) -> float:
+    """Mean activation energy of a model over a whole dataset.
+
+    Computed in batches of EVAL_ROWS; the result is the per-example mean,
+    summed over layers, identical to what a single full-dataset forward
+    would give. Raises ValidationError when features has no rows and
+    NonFiniteError when the result is not finite.
+    """
     total = 0.0
     with no_grad():
-        for start in range(0, n, batch_size):
-            trace = forward_traced(model, features[start:start + batch_size])
+        for rows in _eval_batches(features.shape[0]):
+            trace = forward_traced(model, features[rows])
             for a in trace.hidden_activations:
                 total += float(np.sum(a.data * a.data))
     if not np.isfinite(total):
         raise NonFiniteError("dataset activation energy is non-finite")
-    return total / n
+    return total / features.shape[0]

@@ -12,7 +12,7 @@ report holds only its cells, so loading recomputes the rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import Table
 from .datasets import DatasetHandle
 from .errors import ParseError, ValidationError
-from .models import ModelSpec, spec_with_dims
+from .models import ModelSpec
 from .records import ExperimentRecord, record_from_dict
 from .training import RunConfig, train
 
@@ -132,16 +132,17 @@ def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
         raise ValidationError("the lambda grid must include 0 for the baseline")
     if any(l < 0 or not np.isfinite(l) for l in lambdas):
         raise ValidationError("lambda values must be finite and >= 0")
-    seeds = [int(s) for s in seeds]
+    seeds = list(seeds)
     if not seeds or len(set(seeds)) != len(seeds):
         raise ValidationError("seeds must be nonempty and distinct")
-    template = spec_with_dims(template, data.input_dim, data.classes)
+    template = replace(template, input_dim=data.input_dim, output_dim=data.classes)
 
-    cells = [train(RunConfig(model=template, lr=lr, batch_size=batch_size,
-                             max_epochs=epochs, patience=epochs,
-                             weight_decay=weight_decay, lam=lam, seed=seed),
-                   data)[1]
-             for lam in lambdas for seed in seeds]
+    # every cell's settings, its seed included, are checked before any trains
+    configs = [RunConfig(model=template, lr=lr, batch_size=batch_size,
+                         max_epochs=epochs, patience=epochs,
+                         weight_decay=weight_decay, lam=lam, seed=seed)
+               for lam in lambdas for seed in seeds]
+    cells = [train(config, data)[1] for config in configs]
     if records is not None:
         records.extend(cells)
     return SweepReport(cells)

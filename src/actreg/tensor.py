@@ -99,11 +99,11 @@ class Tensor:
         """Backpropagate from a scalar through the recorded graph.
 
         Visits every reachable interior node exactly once, children
-        before parents; leaves receive their gradients from the nodes
-        that use them. A node's first gradient is assigned, its second
-        is added into a new array, and later ones are added in place
-        into that sum. Arrays that closures return are never written:
-        one may be a pass-through of another node's gradient.
+        before parents, and clears its gradient; leaves add what they
+        receive to what they hold. A node's first gradient is assigned,
+        its second is added into a new array, and later ones are added
+        in place into that sum. Arrays that closures return are never
+        written: one may be a pass-through of another node's gradient.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() starts from a scalar, shape is {self.shape}")
@@ -120,6 +120,7 @@ class Tensor:
             if node in seen:
                 continue
             seen.add(node)
+            node.grad = None  # a second call on this graph starts afresh
             stack.append((node, True))
             for parent in node._parents:
                 if parent._parents and parent not in seen:

@@ -19,9 +19,9 @@ import numpy as np
 from .datasets import DatasetHandle
 from .errors import NonFiniteError, ValidationError
 from .models import (ARCH_ACTIVATIONS, Model, ModelSpec, build_model,
-                     forward_traced, param_count)
-from .objective import (activation_energy, dataset_activation_energy,
-                        regularized_loss)
+                     forward_traced, param_count_for)
+from .objective import (_eval_batches, activation_energy,
+                        dataset_activation_energy, regularized_loss)
 from .power import energy_per_correct, integrate, live_source
 from .records import ExperimentRecord
 from .rng import split_streams
@@ -49,6 +49,9 @@ class RunConfig:
             raise ValidationError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if (not isinstance(self.seed, (int, np.integer))
+                or isinstance(self.seed, bool) or self.seed < 0):
+            raise ValidationError(f"seed must be a non-negative int, got {self.seed!r}")
         if self.max_epochs < 1:
             raise ValidationError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not (1 <= self.patience <= self.max_epochs):
@@ -78,39 +81,31 @@ def _batch_objective(model: Model, xb: np.ndarray, yb: np.ndarray, lam: float):
     return regularized_loss(ce, energy, lam)
 
 
-def _eval_objective(model: Model, x: np.ndarray, y: np.ndarray, lam: float,
-                    batch_size: int = 256) -> float:
-    """Mean objective over a dataset, weighted exactly by batch sizes."""
-    n = x.shape[0]
-    if n == 0:
-        raise ValidationError("dataset is empty")
-    if batch_size < 1:
-        raise ValidationError("batch_size must be >= 1")
+def _eval_objective(model: Model, x: np.ndarray, y: np.ndarray, lam: float) -> float:
+    """Mean objective over a dataset, weighted exactly by batch sizes;
+    raises ValidationError and NonFiniteError as ``evaluate`` does."""
     total = 0.0
     with no_grad():
-        for start in range(0, n, batch_size):
-            xb, yb = x[start:start + batch_size], y[start:start + batch_size]
+        for rows in _eval_batches(x.shape[0]):
+            xb, yb = x[rows], y[rows]
             total += _batch_objective(model, xb, yb, lam).item() * xb.shape[0]
-    return total / n
+    if not np.isfinite(total):
+        raise NonFiniteError("validation loss diverged")
+    return total / x.shape[0]
 
 
-def evaluate(model: Model, x: np.ndarray, y: np.ndarray,
-             batch_size: int = 256) -> tuple[float, float, int]:
+def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> tuple[float, float, int]:
     """Accuracy, mean cross-entropy, and the correct-prediction count.
 
-    Raises ValidationError when x has no rows or batch_size is below 1,
-    and NonFiniteError when the cross-entropy is not finite.
+    Raises ValidationError when x has no rows and NonFiniteError when
+    the cross-entropy is not finite.
     """
     n = x.shape[0]
-    if n == 0:
-        raise ValidationError("dataset is empty")
-    if batch_size < 1:
-        raise ValidationError("batch_size must be >= 1")
     correct = 0
     ce_total = 0.0
     with no_grad():
-        for start in range(0, n, batch_size):
-            xb, yb = x[start:start + batch_size], y[start:start + batch_size]
+        for rows in _eval_batches(n):
+            xb, yb = x[rows], y[rows]
             trace = forward_traced(model, xb)
             correct += int(np.sum(trace.logits.data.argmax(axis=1) == yb))
             ce_total += softmax_cross_entropy(trace.logits, yb).item() * xb.shape[0]
@@ -184,8 +179,6 @@ def train(config: RunConfig, data: DatasetHandle) -> tuple[Model, ExperimentReco
                 if session:
                     session.set_phase("validation")
                 val_loss = _eval_objective(model, val_x, val_y, config.lam)
-                if not np.isfinite(val_loss):
-                    raise NonFiniteError("validation loss diverged")
                 if val_loss < best_val:
                     best_val = val_loss
                     stale = 0
@@ -226,7 +219,7 @@ def train(config: RunConfig, data: DatasetHandle) -> tuple[Model, ExperimentReco
         patience=config.patience,
         val_fraction=config.val_fraction,
         epochs_run=epochs_run,
-        seed=config.seed,
+        seed=int(config.seed),
         status=status,
         test_accuracy=accuracy,
         test_loss=loss_ce,
@@ -235,7 +228,7 @@ def train(config: RunConfig, data: DatasetHandle) -> tuple[Model, ExperimentReco
         energy_mj_per_correct=energy_per_corr,
         training_duration_seconds=time.perf_counter() - t_start,
         hardware=hardware_descriptor(),
-        param_count=param_count(model),
+        param_count=param_count_for(spec),
     )
     return model, record
 

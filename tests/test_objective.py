@@ -5,8 +5,8 @@ import pytest
 
 from actreg.errors import ValidationError
 from actreg.models import ModelSpec, build_model, forward_traced
-from actreg.objective import (activation_energy, dataset_activation_energy,
-                              regularized_loss)
+from actreg.objective import (EVAL_ROWS, activation_energy,
+                              dataset_activation_energy, regularized_loss)
 from actreg.rng import make_generator
 from actreg.tensor import Tensor, grad_check, softmax_cross_entropy
 
@@ -96,13 +96,12 @@ def test_energy_term_is_differentiable():
 def test_dataset_energy_matches_batch_energy():
     gen = make_generator(12)
     model = build_model(ModelSpec("mlp", 5, 4, 2), 2)
-    x = gen.normal(size=(30, 5))
+    x = gen.normal(size=(300, 5))
     whole = forward_traced(model, x)
     per_example = activation_energy(whole).item()
-    # chunked evaluation must agree regardless of batch size
-    for bs in (7, 16, 64):
-        assert dataset_activation_energy(model, x, batch_size=bs) == \
-            pytest.approx(per_example, rel=1e-12)
+    assert EVAL_ROWS < 300  # evaluated in two batches, the second short
+    assert dataset_activation_energy(model, x) == \
+        pytest.approx(per_example, rel=1e-12)
 
 
 def _composed_energy(trace):

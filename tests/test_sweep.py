@@ -83,6 +83,14 @@ def test_seeds_must_be_distinct():
         _sweep(seeds=(42, 42))
 
 
+@pytest.mark.parametrize("seeds", [(2, 1.5), (3, 2.0), (3, True), (3, -1)])
+def test_seeds_must_be_non_negative_ints(seeds, monkeypatch):
+    # refused before the first cell trains, not truncated to an int
+    monkeypatch.setattr("actreg.sweep.train", lambda *args: pytest.fail("trained"))
+    with pytest.raises(ValidationError, match="seed"):
+        _sweep(seeds=seeds)
+
+
 def test_failed_cells_are_excluded_and_reported():
     # lambda near float max overflows the weighted energy on the very
     # first batch, while the lambda = 0 baseline trains normally

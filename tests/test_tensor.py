@@ -424,6 +424,19 @@ def test_many_incoming_gradients_match_out_of_place_accumulation():
         np.testing.assert_array_equal(leaf.grad, ref[ref_leaf])
 
 
+def test_second_backward_on_one_graph_matches_two_graphs():
+    # interior nodes start each call with no gradient; leaves accumulate
+    x = _leaf([0.5])
+    loss = (tanh(x) * 3.0).sum()
+    loss.backward()
+    loss.backward()
+    assert x.grad[0] == pytest.approx(4.719, abs=5e-4)
+    y = _leaf([0.5])
+    for _ in range(2):
+        (tanh(y) * 3.0).sum().backward()
+    np.testing.assert_array_equal(x.grad, y.grad)
+
+
 def test_concat_backward_matches_split():
     gen = make_generator(17)
     for axis, shapes in ((0, [(2, 3), (4, 3), (1, 3)]),

@@ -8,8 +8,8 @@ import pytest
 from actreg.datasets import synth_blobs
 from actreg.errors import NonFiniteError, ValidationError
 from actreg.models import ModelSpec, build_model, forward_traced
-from actreg.objective import (activation_energy, dataset_activation_energy,
-                              regularized_loss)
+from actreg.objective import (EVAL_ROWS, activation_energy,
+                              dataset_activation_energy, regularized_loss)
 from actreg.power import live_source
 from actreg.tensor import softmax_cross_entropy
 from actreg.training import (RunConfig, _batch_objective, _eval_objective,
@@ -174,6 +174,26 @@ def test_evaluation_builds_no_graph_and_matches_a_graph_forward(monkeypatch):
                    for t in traces for a in t.hidden_activations)
 
 
+def test_evaluation_weights_every_batch_by_its_rows():
+    # two full evaluation batches and a short one
+    n = 2 * EVAL_ROWS + 37
+    data = synth_blobs(classes=3, dim=8, n_per_class=300, separation=3.0, seed=8)
+    x, y = data.train_x[:n], data.train_y[:n]
+    assert x.shape[0] == n
+    model = build_model(ModelSpec("physics", 8, 12, 3), seed=3)
+    trace = forward_traced(model, x)  # the whole split in one graph forward
+    ce = softmax_cross_entropy(trace.logits, y)
+    energy = activation_energy(trace)
+    correct = int(np.sum(trace.logits.data.argmax(axis=1) == y))
+    acc, mean_ce, got_correct = evaluate(model, x, y)
+    assert (acc, got_correct) == (correct / n, correct)
+    assert mean_ce == pytest.approx(ce.item(), rel=1e-12)
+    assert _eval_objective(model, x, y, 0.1) == \
+        pytest.approx(regularized_loss(ce, energy, 0.1).item(), rel=1e-12)
+    assert dataset_activation_energy(model, x) == \
+        pytest.approx(energy.item(), rel=1e-12)
+
+
 def test_no_training_graph_is_alive_during_validation_and_testing(monkeypatch):
     # a step's graph holds every activation (and a cnn's conv columns);
     # one still alive under an evaluation pass is memory the pass cannot use
@@ -207,6 +227,8 @@ def test_evaluation_rejects_non_finite_results():
         with pytest.raises(NonFiniteError):
             evaluate(model, DATA.test_x, DATA.test_y)
         with pytest.raises(NonFiniteError):
+            _eval_objective(model, DATA.test_x, DATA.test_y, 0.1)
+        with pytest.raises(NonFiniteError):
             dataset_activation_energy(model, DATA.test_x)
 
 
@@ -217,17 +239,6 @@ def test_evaluation_rejects_an_empty_split():
                        lambda: _eval_objective(model, x, y, 0.1),
                        lambda: dataset_activation_energy(model, x)):
         with pytest.raises(ValidationError, match="empty"):
-            evaluation()
-
-
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_evaluation_rejects_a_batch_size_below_one(batch_size):
-    model = build_model(ModelSpec("mlp", 8, 12, 3), seed=3)
-    x, y = DATA.test_x, DATA.test_y
-    for evaluation in (lambda: evaluate(model, x, y, batch_size=batch_size),
-                       lambda: _eval_objective(model, x, y, 0.1, batch_size),
-                       lambda: dataset_activation_energy(model, x, batch_size)):
-        with pytest.raises(ValidationError, match="batch_size"):
             evaluation()
 
 
@@ -251,6 +262,16 @@ def test_config_validation():
         _config(val_fraction=1.0)  # anything below 1 is allowed
     with pytest.raises(ValidationError):
         _config(lam=-1e-6)
+    for seed in (-1, 1.7, 2.0, True, "3", None):  # not a non-negative int
+        with pytest.raises(ValidationError, match="seed"):
+            _config(seed=seed)
+
+
+def test_a_numpy_integer_seed_trains_and_records_a_python_int():
+    _, record = train(_config(seed=np.int64(9), max_epochs=1), DATA)
+    _, plain = train(_config(seed=9, max_epochs=1), DATA)
+    assert type(record.seed) is int
+    assert _stable(record) == _stable(plain)
 
 
 def test_config_is_frozen():
