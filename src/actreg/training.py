@@ -10,6 +10,7 @@ gives up after ``patience`` epochs without strict improvement.
 
 from __future__ import annotations
 
+import functools
 import platform
 import time
 from dataclasses import dataclass
@@ -69,9 +70,33 @@ class RunConfig:
                                   f"got {self.telemetry_hz}")
 
 
+@functools.cache
+def _blas_core() -> str:
+    """The kernel OpenBLAS picked for this CPU, looked up on first use.
+
+    numpy's bundled OpenBLAS names it; dlsym through numpy's extension
+    module also searches the libraries that module loaded. Any other
+    BLAS reads ``unknown``.
+    """
+    import ctypes
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        corename = lib.scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode("ascii", "replace")
+
+
 def hardware_descriptor() -> str:
+    """Machine, OS, Python, numpy and BLAS kernel: what a record's bits depend on."""
     return (f"{platform.machine()};{platform.system().lower()};"
-            f"python-{platform.python_version()};numpy-{np.__version__}")
+            f"python-{platform.python_version()};numpy-{np.__version__};"
+            f"blas-{_blas_core()}")
 
 
 def _batch_objective(model: Model, xb: np.ndarray, yb: np.ndarray, lam: float):
