@@ -169,10 +169,12 @@ def analyze_records(records: list[ExperimentRecord],
     return tables
 
 
-def parameter_count_table(hidden_dim: int = 1024) -> Table:
-    """Parameter counts for the zoo across the three reference domains."""
+def parameter_count_table() -> Table:
+    """Parameter counts for the zoo at hidden width 1024, the published
+    reference size, across the three reference domains."""
     from .models import ModelSpec, param_count_for
 
+    hidden_dim = 1024
     domains = [("vision_784", 784, 10), ("text_5000", 5000, 20),
                ("audio_700", 700, 10)]
     t = Table(f"parameter counts (hidden_dim={hidden_dim})",

@@ -2,8 +2,9 @@
 
 Subcommands: run (train once and persist a record), sweep (train a
 regularization-weight grid), gradcheck (finite-difference verification
-of the whole zoo), analyze (statistics over a record directory), and
-report (render summary tables).
+of the whole zoo; it takes no flags), analyze (statistics over a record
+directory), and report (the zoo's parameter counts, or a saved sweep's
+table).
 
 Exit codes: 0 success, 1 validation or configuration error, 2 runtime
 divergence or a failed numerical check, 3 I/O or parse failure.
@@ -12,14 +13,12 @@ run and sweep share one settings table: run takes every key, sweep
 only the dataset, model and optimizer keys. A key a subcommand does
 not take is an error, as a flag or in its config file. Settings
 resolve in precedence order: built-in defaults, then the config file,
-then the ACTREG_SEED environment variable (run's seed only), then
-explicit flags.
+then explicit flags.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -33,8 +32,6 @@ from .sweep import (DEFAULT_EPOCHS, DEFAULT_LAMBDAS, DEFAULT_SEEDS,
                     load_sweep, run_lambda_sweep, save_sweep)
 from .tensor import grad_check
 from .training import RunConfig, _batch_objective, train
-
-SEED_ENV = "ACTREG_SEED"
 
 
 def _int_pair(raw: str) -> tuple[int, int]:
@@ -67,8 +64,7 @@ _SETTINGS: dict[str, tuple[object, object]] = {
     "telemetry.hz": (float, RunConfig.telemetry_hz),
 }
 
-# The keys each subcommand takes: its flags, its config-file keys and,
-# through "seed", whether ACTREG_SEED applies.
+# The keys each subcommand takes: its flags and its config-file keys.
 _RUN_KEYS = tuple(_SETTINGS)
 _SWEEP_KEYS = ("arch", "hidden_dim", "glia_ratio", "dense_dim",
                "conv_channels", "dataset", "dataset_name", "data_dir",
@@ -108,13 +104,6 @@ def _resolve_settings(args: argparse.Namespace, keys) -> dict[str, object]:
     settings = {key: _SETTINGS[key][1] for key in keys}
     if args.config:
         settings.update(parse_config(args.config, keys))
-    env_seed = os.environ.get(SEED_ENV)
-    if "seed" in keys and env_seed is not None:
-        try:
-            settings["seed"] = int(env_seed)
-        except ValueError:
-            raise ValidationError(f"{SEED_ENV} must be an integer, "
-                                  f"got {env_seed!r}") from None
     for key in keys:
         value = getattr(args, key.replace(".", "_"))
         if value is not None:
@@ -219,16 +208,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def gradcheck_zoo(input_dim: int = 16, hidden_dim: int = 12,
-                  output_dim: int = 4, batch: int = 4,
-                  lambdas=(0.0, 1e-3, 1e-1), perturbation: float = 1e-6,
-                  seed: int = 7) -> list[tuple[str, float, float]]:
+# the worst relative error gradcheck accepts
+GRADCHECK_THRESHOLD = 1e-4
+
+
+def gradcheck_zoo() -> list[tuple[str, float, float]]:
     """Finite-difference check of every architecture at desk scale.
 
+    Each architecture is built at input 16, hidden 12 and 4 classes and
+    checked on a seeded batch of 4 at lam 0, 1e-3 and 1e-1.
     Returns (architecture, lam, max relative error) triples covering
     the full objective: cross-entropy plus lam times the energy term.
     """
-    gen = make_generator(seed)
+    input_dim, hidden_dim, output_dim, batch = 16, 12, 4, 4
+    gen = make_generator(7)
     x = gen.normal(size=(batch, input_dim))
     y = gen.integers(0, output_dim, size=batch)
     specs = [
@@ -240,33 +233,25 @@ def gradcheck_zoo(input_dim: int = 16, hidden_dim: int = 12,
     ]
     results = []
     for spec in specs:
-        for lam in lambdas:
+        for lam in (0.0, 1e-3, 1e-1):
             model = build_model(spec, gen)
             err = grad_check(lambda: _batch_objective(model, x, y, lam),
-                             model.parameters(),
-                             perturbation=perturbation, rng=gen)
+                             model.parameters(), rng=gen)
             results.append((spec.arch, lam, err))
     return results
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    # flags left unset are absent from args, so gradcheck_zoo's own
-    # defaults apply
-    zoo = {k: v for k, v in vars(args).items()
-           if k not in ("command", "func", "threshold")}
-    if "lambdas" in zoo:
-        zoo["lambdas"] = _parse_list(float, zoo["lambdas"])
-    results = gradcheck_zoo(**zoo)
     worst = 0.0
-    for arch, lam, err in results:
-        ok = "ok" if err < args.threshold else "FAIL"
+    for arch, lam, err in gradcheck_zoo():
+        ok = "ok" if err < GRADCHECK_THRESHOLD else "FAIL"
         print(f"{arch:8s} lambda={lam:<8g} max rel err {err:.3e}  {ok}")
         worst = max(worst, err)
-    print(f"worst relative error {worst:.3e} (threshold {args.threshold:g})")
-    return 0 if worst < args.threshold else 2
+    print(f"worst relative error {worst:.3e} (threshold {GRADCHECK_THRESHOLD:g})")
+    return 0 if worst < GRADCHECK_THRESHOLD else 2
 
 
-def _analyze(args: argparse.Namespace):
+def cmd_analyze(args: argparse.Namespace) -> int:
     records, issues = load_records(args.records)
     for issue in issues:
         print(f"warning: skipped {issue}", file=sys.stderr)
@@ -276,11 +261,6 @@ def _analyze(args: argparse.Namespace):
         print(f"warning: analysis dropped {failed + lacking} of {len(records)} "
               f"records: {failed} did not complete, {lacking} lack "
               f"{args.response!r}", file=sys.stderr)
-    return tables
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    tables = _analyze(args)
     text = "\n\n".join(t.to_text() for t in tables)
     print(text)
     if args.out_dir:
@@ -296,17 +276,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     if args.kind == "params":
-        print(parameter_count_table(args.hidden_dim).to_text())
+        print(parameter_count_table().to_text())
         return 0
-    if args.kind == "sweep":
-        if not args.infile:
-            raise ValidationError("report sweep needs --in FILE")
-        print(load_sweep(args.infile).table().to_text())
-        return 0
-    # anova
-    if not args.records:
-        raise ValidationError("report anova needs --records DIR")
-    print(_analyze(args)[0].to_text())
+    if not args.infile:
+        raise ValidationError("report sweep needs --in FILE")
+    print(load_sweep(args.infile).table().to_text())
     return 0
 
 
@@ -336,32 +310,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_grad = sub.add_parser("gradcheck",
-                            help="finite-difference check of the model zoo",
-                            argument_default=argparse.SUPPRESS)
-    p_grad.add_argument("--input-dim", type=int)
-    p_grad.add_argument("--hidden-dim", type=int)
-    p_grad.add_argument("--output-dim", type=int)
-    p_grad.add_argument("--batch", type=int)
-    p_grad.add_argument("--lambdas")
-    p_grad.add_argument("--perturbation", type=float)
-    p_grad.add_argument("--threshold", type=float, default=1e-4)
-    p_grad.add_argument("--seed", type=int)
+                            help="finite-difference check of the model zoo")
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_an = sub.add_parser("analyze", help="statistics over a record directory")
     p_an.add_argument("--records", required=True)
     p_an.add_argument("--out-dir", default=None,
                       help="write CSV tables and a text summary here")
+    p_an.add_argument("--response", default="test_accuracy")
     p_an.set_defaults(func=cmd_analyze)
 
     p_rep = sub.add_parser("report", help="render summary tables")
-    p_rep.add_argument("kind", choices=("params", "sweep", "anova"))
-    p_rep.add_argument("--hidden-dim", type=int, default=1024)
+    p_rep.add_argument("kind", choices=("params", "sweep"))
     p_rep.add_argument("--in", dest="infile", default=None)
-    p_rep.add_argument("--records", default=None)
     p_rep.set_defaults(func=cmd_report)
-    for p in (p_an, p_rep):  # analyze and report anova share _analyze
-        p.add_argument("--response", default="test_accuracy")
     return parser
 
 

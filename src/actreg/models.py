@@ -229,7 +229,7 @@ def forward_traced(model: Model, batch) -> ForwardTrace:
         n2 = relu(_linear(n1, p, "neuronal2"))
         g1 = tanh(_linear(x, p, "glial1"))
         g2 = tanh(_linear(g1, p, "glial2"))
-        fused = concat([n2, g2], axis=1)
+        fused = concat([n2, g2])
         logits = _linear(fused, p, "integration")
         return ForwardTrace(logits, [n1, n2, g1, g2])
     if arch == "physics":
@@ -239,7 +239,7 @@ def forward_traced(model: Model, batch) -> ForwardTrace:
         v2 = _linear(v1, p, "potential2")
         c1 = sigmoid(_linear(x, p, "constraint1"))
         c2 = _linear(c1, p, "constraint2")
-        fused = concat([t2, -v2, -c2], axis=1)
+        fused = concat([t2, -v2, -c2])
         logits = _linear(fused, p, "head")
         return ForwardTrace(logits, [t1, t2, v1, v2, c1, c2])
     if arch == "mlp":
@@ -250,9 +250,9 @@ def forward_traced(model: Model, batch) -> ForwardTrace:
     # cnn
     c, s, _ = model.spec.image_shape
     img = x.reshape((x.shape[0], c, s, s))
-    a1 = relu(conv2d(img, p["conv1_w"], p["conv1_b"], stride=1, padding=1))
+    a1 = relu(conv2d(img, p["conv1_w"], p["conv1_b"]))
     pool1 = max_pool2(a1)
-    a2 = relu(conv2d(pool1, p["conv2_w"], p["conv2_b"], stride=1, padding=1))
+    a2 = relu(conv2d(pool1, p["conv2_w"], p["conv2_b"]))
     pool2 = max_pool2(a2)
     flat = pool2.reshape((x.shape[0], pool2.size // x.shape[0]))
     a3 = relu(_linear(flat, p, "dense"))

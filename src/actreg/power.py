@@ -151,6 +151,12 @@ def replay_source(path) -> list[PowerSample]:
     return samples
 
 
+def check_poll_hz(hz: float) -> None:
+    """Raise ValidationError unless hz is a poll rate in (0, 1000] Hz."""
+    if not (np.isfinite(hz) and 0 < hz <= 1000):
+        raise ValidationError(f"poll rate must be in (0, 1000] Hz, got {hz}")
+
+
 class LiveSource:
     """Polls an external command for wattage readings on a worker thread.
 
@@ -163,8 +169,7 @@ class LiveSource:
     def __init__(self, command: str, hz: float = 1.0):
         if not command or not command.strip():
             raise ValidationError("telemetry command is empty")
-        if not (np.isfinite(hz) and 0 < hz <= 1000):
-            raise ValidationError(f"poll rate must be in (0, 1000] Hz, got {hz}")
+        check_poll_hz(hz)
         self.command = shlex.split(command)
         self.interval_s = 1.0 / hz
         self.available = True

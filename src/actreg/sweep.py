@@ -128,16 +128,15 @@ def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
     ``failed``. A list passed as ``records`` receives the same records.
     """
     lambdas = sorted(set(float(l) for l in lambdas))
-    if not lambdas or lambdas[0] != 0.0:
+    if 0.0 not in lambdas:
         raise ValidationError("the lambda grid must include 0 for the baseline")
-    if any(l < 0 or not np.isfinite(l) for l in lambdas):
-        raise ValidationError("lambda values must be finite and >= 0")
     seeds = list(seeds)
     if not seeds or len(set(seeds)) != len(seeds):
         raise ValidationError("seeds must be nonempty and distinct")
     template = replace(template, input_dim=data.input_dim, output_dim=data.classes)
 
-    # every cell's settings, its seed included, are checked before any trains
+    # every cell's settings, its lam and seed included, are checked before
+    # any trains
     configs = [RunConfig(model=template, lr=lr, batch_size=batch_size,
                          max_epochs=epochs, patience=epochs,
                          weight_decay=weight_decay, lam=lam, seed=seed)

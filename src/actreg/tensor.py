@@ -14,8 +14,10 @@ their arrays), the second is added into a new array, and later ones are
 added in place into that sum, so fan-out is handled correctly. Only
 arrays the engine allocated itself are written in place, never one a
 backward closure returned, which may alias another gradient.
-Only the operations needed by the model zoo are provided, one node per
-layer (``linear`` and ``conv2d`` take their bias); shapes must match exactly.
+Only the operations needed by the model zoo are provided, at the zoo's
+geometry: ``conv2d`` is same-padded with stride 1, ``concat`` joins
+columns, and there is one node per layer (``linear`` and ``conv2d``
+take their bias); shapes must match exactly.
 
 Finiteness is checked at state boundaries, not per op: the public
 ``Tensor(...)`` constructor rejects NaN and infinity in inputs and
@@ -254,25 +256,20 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
-    """Concatenate along one axis; all other extents must agree."""
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join 2-D tensors side by side; their row counts must agree."""
     if not parts:
         raise ValidationError("concat needs at least one tensor")
-    ndim = parts[0].data.ndim
-    for p in parts[1:]:
-        if p.data.ndim != ndim:
-            raise ShapeError(f"concat rank mismatch: {parts[0].shape} vs {p.shape}")
-        for ax in range(ndim):
-            if ax != axis % ndim and p.shape[ax] != parts[0].shape[ax]:
-                raise ShapeError(f"concat shapes differ off-axis: "
-                                 f"{parts[0].shape} vs {p.shape}")
-    # each part's gradient is a basic slice of g along the axis
-    lead = (slice(None),) * (axis % ndim)
+    first = parts[0].shape
     index, stop = [], 0
     for p in parts:
-        start, stop = stop, stop + p.data.shape[axis]
-        index.append(lead + (slice(start, stop),))
-    return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
+        if p.data.ndim != 2 or p.shape[0] != first[0]:
+            raise ShapeError(f"concat needs 2-D parts with equal rows: "
+                             f"{first} vs {p.shape}")
+        # each part's gradient is a basic slice of g's columns
+        start, stop = stop, stop + p.shape[1]
+        index.append((slice(None), slice(start, stop)))
+    return _node(np.concatenate([p.data for p in parts], axis=1), tuple(parts),
                  lambda g: [g[i] for i in index])
 
 
@@ -319,82 +316,68 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return _node(np.array(loss), (logits,), backward)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
-            oh: int, ow: int) -> np.ndarray:
-    """Gather sliding windows into (n, c*kh*kw, oh*ow).
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """Gather the k x k window around every position into (n, c*k*k, h*w).
 
-    With padding, the windows are read from one zero-bordered copy of
-    ``x``: a zeroed array with ``x`` written into its interior, which
+    The windows are read from one copy of ``x`` with a k // 2 zero
+    border: a zeroed array with ``x`` written into its interior, which
     takes about half the time of ``np.pad`` at the cnn's shapes.
     """
     n, c, h, w = x.shape
-    if padding:
-        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-        xp[:, :, padding:padding + h, padding:padding + w] = x
-        x = xp
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i:i + stride * oh:stride,
-                                 j:j + stride * ow:stride]
-    return cols.reshape(n, c * kh * kw, oh * ow)
+    p = k // 2
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
+    xp[:, :, p:p + h, p:p + w] = x
+    cols = np.empty((n, c, k, k, h, w), dtype=np.float64)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i:i + h, j:j + w]
+    return cols.reshape(n, c * k * k, h * w)
 
 
-def _col2im(dcols: np.ndarray, xshape: tuple[int, ...], kh: int, kw: int,
-            stride: int, padding: int, oh: int, ow: int) -> np.ndarray:
+def _col2im(dcols: np.ndarray, xshape: tuple[int, ...], k: int) -> np.ndarray:
     """Scatter-add column gradients back to input positions."""
     n, c, h, w = xshape
-    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-    d6 = dcols.reshape(n, c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d6[:, :, i, j]
-    if padding:
-        return dxp[:, :, padding:padding + h, padding:padding + w]
-    return dxp
+    p = k // 2
+    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
+    d6 = dcols.reshape(n, c, k, k, h, w)
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i:i + h, j:j + w] += d6[:, :, i, j]
+    return dxp[:, :, p:p + h, p:p + w]
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of (n, c, h, w) inputs with (o, c, kh, kw) kernels.
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Same-padded stride-1 cross-correlation of (n, c, h, w) inputs.
 
-    ``b`` adds one bias per output channel. Output extents are
-    floor((side + 2*padding - kernel) / stride) + 1. Implemented with an
-    im2col gather so forward and backward are plain matrix products. No
-    kernel flip: this is the convention every major deep-learning
-    framework calls convolution.
+    The (o, c, k, k) kernels are square with an odd side k, and a k // 2
+    zero border keeps the output at (n, o, h, w). ``b`` adds one bias
+    per output channel. Implemented with an im2col gather so forward
+    and backward are plain matrix products. No kernel flip: this is the
+    convention every major deep-learning framework calls convolution.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d needs 4-D input and kernels, got {x.shape} "
                          f"and {w.shape}")
     n, c, h, wid = x.shape
-    o, ck, kh, kw = w.shape
-    if ck != c or b.shape != (o,):
+    o, ck, k, kw = w.shape
+    if ck != c or b.shape != (o,) or kw != k or k % 2 == 0:
         raise ShapeError(f"kernels {w.shape} and bias {b.shape} do not fit input "
-                         f"{x.shape}: need (o, {c}, kh, kw) and (o,)")
-    if stride < 1 or padding < 0:
-        raise ValidationError(f"stride must be >= 1 and padding >= 0, "
-                              f"got {stride}, {padding}")
-    if kh > h + 2 * padding or kw > wid + 2 * padding:
-        raise ShapeError(f"kernel {kh}x{kw} exceeds padded input "
-                         f"{h + 2 * padding}x{wid + 2 * padding}")
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wid + 2 * padding - kw) // stride + 1
-    cols = _im2col(x.data, kh, kw, stride, padding, oh, ow)
-    wf = w.data.reshape(o, c * kh * kw)
+                         f"{x.shape}: need (o, {c}, k, k) with odd k, and (o,)")
+    cols = _im2col(x.data, k)
+    wf = w.data.reshape(o, c * k * k)
 
     def backward(g):
         db = g.sum(axis=(0, 2, 3))
-        g = g.reshape(n, o, oh * ow)
+        g = g.reshape(n, o, h * wid)
         dx = dw = None
         if x.requires_grad:
-            dx = _col2im(np.matmul(wf.T, g), x.shape, kh, kw, stride, padding,
-                         oh, ow)
+            dx = _col2im(np.matmul(wf.T, g), x.shape, k)
         if w.requires_grad:
             dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         return dx, dw, db
     out = np.matmul(wf, cols)
     out += b.data[:, None]  # in place: no second output-sized array
-    return _node(out.reshape(n, o, oh, ow), (x, w, b), backward)
+    return _node(out.reshape(n, o, h, wid), (x, w, b), backward)
 
 
 def max_pool2(x: Tensor) -> Tensor:
@@ -532,18 +515,21 @@ class Adam:
             raise NonFiniteError("parameters became non-finite after the update")
 
 
+# grad_check's central-difference step and probes per parameter tensor
+GRAD_CHECK_STEP = 1e-6
+GRAD_CHECK_COORDS = 25
+
+
 def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor], *,
-               perturbation: float = 1e-6, max_coords: int = 25,
                rng: Seed = 0) -> float:
     """Compare backward gradients against central finite differences.
 
     ``loss_fn`` must be a deterministic closure over ``params`` that
-    returns a scalar tensor. For tensors larger than ``max_coords`` a
-    seeded random subset of coordinates is probed. Returns the worst
+    returns a scalar tensor. Each coordinate is moved by GRAD_CHECK_STEP
+    either way; for tensors larger than GRAD_CHECK_COORDS a seeded
+    random subset of that many coordinates is probed. Returns the worst
     relative error  |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
-    if not (1e-7 <= perturbation <= 1e-3):
-        raise ValidationError(f"perturbation {perturbation} outside [1e-7, 1e-3]")
     if not params:
         raise ValidationError("grad_check needs at least one parameter")
     gen = make_generator(rng)
@@ -559,22 +545,22 @@ def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor], *,
     for pi, p in enumerate(params):
         flat = p.data.reshape(-1)
         n = flat.size
-        if n <= max_coords:
+        if n <= GRAD_CHECK_COORDS:
             coords = np.arange(n)
         else:
-            coords = np.sort(gen.choice(n, size=max_coords, replace=False))
+            coords = np.sort(gen.choice(n, size=GRAD_CHECK_COORDS, replace=False))
         aflat = analytic[pi].reshape(-1)
         for ci in coords:
             orig = flat[ci]
-            flat[ci] = orig + perturbation
+            flat[ci] = orig + GRAD_CHECK_STEP
             lo_hi = loss_fn().item()
-            flat[ci] = orig - perturbation
+            flat[ci] = orig - GRAD_CHECK_STEP
             lo_lo = loss_fn().item()
             flat[ci] = orig
             if not (np.isfinite(lo_hi) and np.isfinite(lo_lo)):
                 raise NonFiniteError(f"loss non-finite while perturbing parameter "
                                      f"{pi} coordinate {int(ci)}")
-            numeric = (lo_hi - lo_lo) / (2.0 * perturbation)
+            numeric = (lo_hi - lo_lo) / (2.0 * GRAD_CHECK_STEP)
             a = aflat[ci]
             rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
             worst = max(worst, rel)

@@ -23,9 +23,9 @@ from .models import (ARCH_ACTIVATIONS, Model, ModelSpec, build_model,
                      forward_traced, param_count_for)
 from .objective import (_eval_batches, activation_energy,
                         dataset_activation_energy, regularized_loss)
-from .power import energy_per_correct, integrate, live_source
+from .power import check_poll_hz, energy_per_correct, integrate, live_source
 from .records import ExperimentRecord
-from .rng import split_streams
+from .rng import check_seed, split_streams
 from .tensor import Adam, no_grad, softmax_cross_entropy
 
 
@@ -46,13 +46,16 @@ class RunConfig:
     telemetry_hz: float = 1.0
 
     def __post_init__(self):
+        # what a record stores as an int must be one; a bool is not
+        for name in ("batch_size", "max_epochs", "patience"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValidationError(f"{name} must be an int, got {v!r}")
+        check_seed(self.seed)
         if self.lr <= 0 or not np.isfinite(self.lr):
             raise ValidationError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if (not isinstance(self.seed, (int, np.integer))
-                or isinstance(self.seed, bool) or self.seed < 0):
-            raise ValidationError(f"seed must be a non-negative int, got {self.seed!r}")
         if self.max_epochs < 1:
             raise ValidationError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not (1 <= self.patience <= self.max_epochs):
@@ -65,9 +68,7 @@ class RunConfig:
         if not (0.0 <= self.val_fraction < 1.0):
             raise ValidationError(f"val_fraction must be in [0, 1), "
                                   f"got {self.val_fraction}")
-        if self.telemetry_hz <= 0:
-            raise ValidationError(f"telemetry_hz must be positive, "
-                                  f"got {self.telemetry_hz}")
+        check_poll_hz(self.telemetry_hz)
 
 
 @functools.cache

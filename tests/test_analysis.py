@@ -116,7 +116,7 @@ def test_table_rendering_and_csv():
 
 
 def test_parameter_count_table_matches_direct_enumeration():
-    table = parameter_count_table(hidden_dim=1024)
+    table = parameter_count_table()
     by_label = {row[0]: row[1:] for row in table.rows}
     bimodal = by_label["bimodal (glia 1.0)"]
     assert bimodal[0] == param_count_for(

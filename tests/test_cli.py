@@ -6,9 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from actreg import cli
 from actreg.cli import build_parser, main, parse_config
+from actreg.datasets import synth_blobs
 from actreg.errors import ParseError, ValidationError
+from actreg.models import ModelSpec, build_model
 from actreg.records import ExperimentRecord, load_records, save_record
+from actreg.rng import make_generator
 from actreg.sweep import load_sweep
 
 
@@ -89,22 +93,18 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert records[0].hidden_dim == 8  # file beats default
 
 
-def test_env_seed_between_file_and_flag(tmp_path, monkeypatch):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 7\nhidden_dim = 8\nmax_epochs = 2\npatience = 2\n"
-                   "classes = 3\nfeature_dim = 6\nper_class = 30\n")
-    monkeypatch.setenv("ACTREG_SEED", "19")
-    assert _run("run", "--config", str(cfg),
-                "--records-dir", str(tmp_path / "a")) == 0
-    records, _ = load_records(tmp_path / "a")
-    assert records[0].seed == 19  # env beats file
-    assert _run("run", "--config", str(cfg), "--seed", "23",
-                "--records-dir", str(tmp_path / "b")) == 0
-    records, _ = load_records(tmp_path / "b")
-    assert records[0].seed == 23  # flag beats env
-
-    monkeypatch.setenv("ACTREG_SEED", "not-a-seed")
-    assert _run(*SMALL_RUN, "--records-dir", str(tmp_path / "c")) == 1
+def test_a_negative_seed_is_named_wherever_it_enters(tmp_path, capsys):
+    with pytest.raises(ValidationError, match="seed must be a non-negative int, got -1"):
+        build_model(ModelSpec("mlp", 4, 3, 2), -1)
+    with pytest.raises(ValidationError, match="seed .* got -2"):
+        synth_blobs(3, 4, 5, 1.0, -2)
+    for bad in (2.5, True):
+        with pytest.raises(ValidationError, match="seed"):
+            make_generator(bad)
+    assert _run(*SMALL_RUN, "--dataset-seed", "-1",
+                "--records-dir", str(tmp_path)) == 1
+    assert ("error: seed must be a non-negative int, got -1"
+            in capsys.readouterr().err)
 
 
 def test_config_parse_errors():
@@ -134,8 +134,7 @@ def test_config_telemetry_keys(tmp_path):
     assert parsed["telemetry.hz"] == 4.0
 
 
-def test_sweep_writes_report_and_cell_records(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ACTREG_SEED", "not-a-seed")  # applies to run only
+def test_sweep_writes_report_and_cell_records(tmp_path, capsys):
     out_json = tmp_path / "sweep.json"
     code = _run("sweep", "--classes", "3", "--feature-dim", "6",
                 "--per-class", "30", "--hidden-dim", "8", "--epochs", "1",
@@ -195,20 +194,18 @@ def test_sweep_rejects_grid_without_zero(capsys):
 
 
 def test_gradcheck_passes_and_prints_each_case(capsys):
-    # input must stay square-imageable for the cnn zoo member
-    code = _run("gradcheck", "--batch", "2", "--lambdas", "0,1e-1",
-                "--hidden-dim", "6", "--input-dim", "16", "--output-dim", "3")
+    code = _run("gradcheck")
     out = capsys.readouterr().out
     assert code == 0
     for arch in ("bimodal", "physics", "mlp", "cnn"):
-        assert out.count(arch) == 2  # one line per lambda
-    assert "worst relative error" in out
+        assert out.count(arch) == 3  # one line per lambda
+    assert "worst relative error 2.159e-09 (threshold 0.0001)" in out
 
 
-def test_gradcheck_failure_exit_code(capsys):
-    # an impossible threshold forces the failure path
-    code = _run("gradcheck", "--batch", "2", "--lambdas", "0",
-                "--threshold", "1e-18")
+def test_gradcheck_failure_exit_code(capsys, monkeypatch):
+    # an error above the threshold takes the failure path
+    monkeypatch.setattr(cli, "gradcheck_zoo", lambda: [("mlp", 0.0, 2e-4)])
+    code = _run("gradcheck")
     assert code == 2
     assert "FAIL" in capsys.readouterr().out
 
@@ -243,12 +240,11 @@ def test_analyze_says_which_records_it_dropped(tmp_path, capsys):
                                      test_accuracy=None, **diverged), tmp_path)
     save_record(ExperimentRecord(architecture="bimodal", seed=12, test_accuracy=None,
                                  **base), tmp_path)
-    for argv in (("analyze",), ("report", "anova")):
-        assert _run(*argv, "--records", str(tmp_path)) == 0
-        captured = capsys.readouterr()
-        assert "anova" in captured.out
-        assert ("warning: analysis dropped 3 of 9 records: 2 did not complete, "
-                "1 lack 'test_accuracy'") in captured.err
+    assert _run("analyze", "--records", str(tmp_path)) == 0
+    captured = capsys.readouterr()
+    assert "anova" in captured.out
+    assert ("warning: analysis dropped 3 of 9 records: 2 did not complete, "
+            "1 lack 'test_accuracy'") in captured.err
 
 
 def test_analyze_insufficient_levels(tmp_path, capsys):
@@ -260,9 +256,9 @@ def test_analyze_insufficient_levels(tmp_path, capsys):
 
 
 def test_report_params(capsys):
-    assert _run("report", "params", "--hidden-dim", "64") == 0
+    assert _run("report", "params") == 0
     out = capsys.readouterr().out
-    assert "bimodal" in out and "vision_784" in out
+    assert "bimodal" in out and "vision_784" in out and "hidden_dim=1024" in out
 
 
 def test_report_sweep_round_trip(tmp_path, capsys):
@@ -290,8 +286,7 @@ def test_module_entry_point(tmp_path):
     import subprocess
     import sys
     result = subprocess.run(
-        [sys.executable, "-m", "actreg", "report", "params",
-         "--hidden-dim", "16"],
+        [sys.executable, "-m", "actreg", "report", "params"],
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "architecture" in result.stdout

@@ -78,6 +78,14 @@ def test_grid_must_include_zero():
         _sweep(lambdas=(1e-3, 1e-2))
 
 
+@pytest.mark.parametrize("bad", [-1e-3, float("nan"), float("inf")])
+def test_a_bad_lambda_is_named_before_any_cell_trains(bad, monkeypatch):
+    # the grid holds 0, so the lambda itself is what gets refused
+    monkeypatch.setattr("actreg.sweep.train", lambda *args: pytest.fail("trained"))
+    with pytest.raises(ValidationError, match=f"lam must be >= 0, got {bad}"):
+        _sweep(lambdas=(bad, 0.0, 1e-3))
+
+
 def test_seeds_must_be_distinct():
     with pytest.raises(ValidationError):
         _sweep(seeds=(42, 42))

@@ -267,6 +267,22 @@ def test_config_validation():
             _config(seed=seed)
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("batch_size", True), ("batch_size", 2.5), ("batch_size", 16.0),
+    ("max_epochs", 2.5), ("max_epochs", np.int64(4)), ("patience", 1.5),
+    ("patience", True), ("telemetry_hz", 5000.0), ("telemetry_hz", 0.0),
+    ("telemetry_hz", float("nan")),
+])
+def test_config_refuses_what_a_record_could_not_store(setting, value):
+    # each of these used to pass, then trained oddly, failed inside
+    # train(), or produced a record that save_record refuses
+    name = "poll rate" if setting == "telemetry_hz" else setting
+    with pytest.raises(ValidationError, match=name):
+        _config(**{setting: value})
+    if setting == "telemetry_hz":
+        _config(telemetry_hz=1000.0)  # LiveSource's upper bound is allowed
+
+
 def test_a_numpy_integer_seed_trains_and_records_a_python_int():
     _, record = train(_config(seed=np.int64(9), max_epochs=1), DATA)
     _, plain = train(_config(seed=9, max_epochs=1), DATA)
