@@ -26,7 +26,7 @@ from .stats import (AnovaSource, BootstrapCI, LinearFit, TukeyPair,
 from .sweep import (DEFAULT_LAMBDAS, SweepReport, SweepRow, load_sweep,
                     run_lambda_sweep, save_sweep)
 from .tensor import Adam, Tensor, grad_check, softmax_cross_entropy
-from .training import RunConfig, evaluate, seed_protocol, train
+from .training import RunConfig, evaluate, train
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,6 @@ __all__ = [
     "load_sweep", "make_generator", "one_way_anova", "param_count_for",
     "parameter_count_table", "rank_variance", "rank_within",
     "regularized_loss", "replay_source", "run_lambda_sweep", "save_record",
-    "save_sweep", "seed_protocol", "softmax_cross_entropy", "synth_blobs",
+    "save_sweep", "softmax_cross_entropy", "synth_blobs",
     "train", "tukey_hsd", "two_way_anova_type2", "wilcoxon_signed_rank",
 ]

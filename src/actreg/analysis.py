@@ -153,7 +153,7 @@ def analyze_records(records: list[ExperimentRecord],
         # rank 1 best, then measure cross-dataset rank consistency.
         for d in datasets:
             means = [float(np.mean(by_cell[a, d])) for a in archs]
-            for a, rank in zip(archs, rank_within(means, descending=True)):
+            for a, rank in zip(archs, rank_within(means)):
                 ranks_by_arch[a].append(float(rank))
     for a in archs:
         vals = by_arch[a]

@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_settings(p_sweep, _SWEEP_KEYS)
     p_sweep.add_argument("--lambdas", default=None,
                          help="comma-separated grid, must include 0")
-    p_sweep.add_argument("--seeds", default=None, help="comma-separated seeds")
+    p_sweep.add_argument("--seeds", default=None,
+                         help="comma-separated seeds (default: the paper's ten)")
     p_sweep.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
     p_sweep.add_argument("--out", default=None, help="write the report JSON here")
     p_sweep.add_argument("--records-dir-out", default=None,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, ValidationError
+from .records import plain_number
 from .rng import Seed, make_generator
 from .tensor import (Tensor, concat, conv2d, linear, max_pool2, relu, sigmoid,
                      tanh)
@@ -56,13 +57,18 @@ class ModelSpec:
         if self.arch not in ARCHITECTURES:
             raise ValidationError(f"unknown architecture {self.arch!r}, "
                                   f"expected one of {ARCHITECTURES}")
+        # what a record stores is a plain Python number: numpy scalars are
+        # converted, and bools are refused
         for name in ("input_dim", "hidden_dim", "output_dim"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            v = plain_number(name, getattr(self, name))
+            if not isinstance(v, int) or v < 1:
                 raise ValidationError(f"{name} must be a positive int, got {v!r}")
+            object.__setattr__(self, name, v)
         if self.arch == "bimodal":
             if self.glia_ratio is None:
                 raise ValidationError("bimodal requires glia_ratio")
+            object.__setattr__(self, "glia_ratio",
+                               plain_number("glia_ratio", self.glia_ratio))
             if not (self.glia_ratio > 0 and math.isfinite(self.glia_ratio)):
                 raise ValidationError(f"glia_ratio must be positive and finite, "
                                       f"got {self.glia_ratio}")

@@ -23,6 +23,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 
 
@@ -110,6 +112,18 @@ def _split(stored: dict[str, Any]) -> tuple[dict[str, Any], dict[str, Any]]:
     if known.get("status", "ok") not in ("ok", "diverged"):
         raise ParseError(f"field 'status' has unknown value {known['status']!r}")
     return known, extra
+
+
+def plain_number(name: str, value) -> int | float:
+    """``value`` as the Python int or float a record can store.
+
+    A numpy integer or float becomes its Python equal. A bool, a string
+    or anything else raises ValidationError naming the setting.
+    """
+    if (not isinstance(value, (int, float, np.integer, np.floating))
+            or isinstance(value, bool)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def record_from_dict(raw: dict[str, Any]) -> ExperimentRecord:

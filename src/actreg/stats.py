@@ -22,6 +22,12 @@ import numpy as np
 from .errors import ValidationError
 from .rng import Seed, make_generator
 
+# Tukey's family-wise error rate, and the bootstrap's resample count
+# and percent confidence level
+TUKEY_ALPHA = 0.05
+BOOTSTRAP_RESAMPLES = 1000
+BOOTSTRAP_LEVEL = 95.0
+
 
 @dataclass(frozen=True)
 class AnovaSource:
@@ -100,30 +106,36 @@ def _between_within(groups: dict[str, np.ndarray]) -> tuple[float, float, int, i
     return float(ssb), float(ssw), len(groups) - 1, allv.size - len(groups)
 
 
+def _f_row(name: str, ss: float, df1: int, sse: float, df2: int) -> AnovaSource:
+    """The F-test row of one effect against the residual, for both ANOVAs.
+
+    Zero residual variance makes the test undefined: the row comes back
+    degenerate with F = 0, p = 1 when the effect is zero too, and p = 0
+    with partial eta squared 1 when it is not.
+    """
+    if sse == 0.0:
+        return AnovaSource(name, 0.0, 1.0 if ss == 0.0 else 0.0, df1, df2,
+                           0.0 if ss == 0.0 else 1.0, degenerate=True)
+    from scipy.special import fdtrc
+    f = (ss / df1) / (sse / df2)
+    return AnovaSource(name, float(f), float(fdtrc(df1, df2, f)), df1, df2,
+                       ss / (ss + sse))
+
+
 def one_way_anova(groups: Mapping[str, Sequence[float]]) -> AnovaSource:
     """One-way fixed-effects ANOVA with eta squared.
 
-    F = (SSB / df_between) / (SSW / df_within). When every observation
-    is identical the test is undefined and comes back degenerate with
-    F = 0, p = 1; zero within-group variance with separated means is
-    degenerate with p = 0.
+    F = (SSB / df_between) / (SSW / df_within). Zero within-group
+    variance is degenerate, as ``_f_row`` describes.
     """
-    g = _clean_groups(groups)
-    ssb, ssw, df1, df2 = _between_within(g)
-    if ssw == 0.0:
-        return AnovaSource("group", 0.0, 1.0 if ssb == 0.0 else 0.0, df1, df2,
-                           0.0 if ssb == 0.0 else 1.0, degenerate=True)
-    from scipy.special import fdtrc
-    f = (ssb / df1) / (ssw / df2)
-    p = float(fdtrc(df1, df2, f))
-    return AnovaSource("group", float(f), p, df1, df2, ssb / (ssb + ssw))
+    ssb, ssw, df1, df2 = _between_within(_clean_groups(groups))
+    return _f_row("group", ssb, df1, ssw, df2)
 
 
 def _dummy(levels: list, values: list) -> np.ndarray:
     """Treatment-coded indicator columns, first level dropped."""
-    cols = [np.asarray([v == lev for v in values], dtype=np.float64)
-            for lev in levels[1:]]
-    return np.column_stack(cols) if cols else np.empty((len(values), 0))
+    code = {lev: i for i, lev in enumerate(levels)}
+    return np.eye(len(levels))[[code[v] for v in values], 1:]
 
 
 def _rss(x: np.ndarray, y: np.ndarray) -> float:
@@ -176,33 +188,16 @@ def two_way_anova_type2(rows: Sequence[tuple[Hashable, Hashable, float]],
     one = np.ones((n, 1))
     da = _dummy(la, a_vals)
     db = _dummy(lb, b_vals)
-    inter = np.column_stack([da[:, i] * db[:, j]
-                             for i in range(da.shape[1])
-                             for j in range(db.shape[1])])
+    inter = (da[:, :, None] * db[:, None, :]).reshape(n, df_int)
     rss_a = _rss(np.hstack([one, da]), y)
     rss_b = _rss(np.hstack([one, db]), y)
     rss_ab = _rss(np.hstack([one, da, db]), y)
     rss_full = _rss(np.hstack([one, da, db, inter]), y)
-    ss = {
-        factor_names[0]: max(rss_b - rss_ab, 0.0),
-        factor_names[1]: max(rss_a - rss_ab, 0.0),
-        f"{factor_names[0]}:{factor_names[1]}": max(rss_ab - rss_full, 0.0),
-    }
-    from scipy.special import fdtrc
-    dfs = [df1a, df1b, df_int]
-    sse = rss_full
-    out = []
-    for (name, ss_eff), df1 in zip(ss.items(), dfs):
-        if sse == 0.0:
-            out.append(AnovaSource(name, 0.0, 1.0 if ss_eff == 0.0 else 0.0,
-                                   df1, df_err,
-                                   0.0 if ss_eff == 0.0 else 1.0,
-                                   degenerate=True))
-            continue
-        f = (ss_eff / df1) / (sse / df_err)
-        out.append(AnovaSource(name, float(f), float(fdtrc(df1, df_err, f)),
-                               df1, df_err, ss_eff / (ss_eff + sse)))
-    return out
+    name_a, name_b = factor_names
+    return [_f_row(name_a, max(rss_b - rss_ab, 0.0), df1a, rss_full, df_err),
+            _f_row(name_b, max(rss_a - rss_ab, 0.0), df1b, rss_full, df_err),
+            _f_row(f"{name_a}:{name_b}", max(rss_ab - rss_full, 0.0), df_int,
+                   rss_full, df_err)]
 
 
 # The outer range of _studentized_range_sf ends where the log-chi-square
@@ -284,8 +279,7 @@ def _studentized_range_sf(q: np.ndarray, k: int, df: float) -> np.ndarray:
     return np.clip(term @ inner_w @ outer_w, 0.0, 1.0)
 
 
-def tukey_hsd(groups: Mapping[str, Sequence[float]],
-              alpha: float = 0.05) -> list[TukeyPair]:
+def tukey_hsd(groups: Mapping[str, Sequence[float]]) -> list[TukeyPair]:
     """All pairwise comparisons with the studentized-range correction.
 
     q = |mean difference| / sqrt(MS_within / n_tilde) with n_tilde the
@@ -293,9 +287,8 @@ def tukey_hsd(groups: Mapping[str, Sequence[float]],
     by the Tukey-Kramer form. Adjusted p-values come from the
     studentized-range distribution with k groups and the pooled
     within-group degrees of freedom, all pairs in one tail evaluation.
+    A pair is rejected when its adjusted p is below TUKEY_ALPHA.
     """
-    if not (0 < alpha < 1):
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     g = _clean_groups(groups)
     _, ssw, _, df2 = _between_within(g)
     msw = ssw / df2
@@ -303,50 +296,44 @@ def tukey_hsd(groups: Mapping[str, Sequence[float]],
     diffs = [float(g[nb].mean() - g[na].mean()) for na, nb in pairs]
     if msw == 0.0:
         ps = [1.0 if diff == 0.0 else 0.0 for diff in diffs]
-        return [TukeyPair(na, nb, diff, 0.0, p, p < alpha, degenerate=True)
+        return [TukeyPair(na, nb, diff, 0.0, p, p < TUKEY_ALPHA, degenerate=True)
                 for (na, nb), diff, p in zip(pairs, diffs, ps)]
     qs = [abs(diff) / math.sqrt(msw / (2.0 / (1.0 / g[na].size + 1.0 / g[nb].size)))
           for (na, nb), diff in zip(pairs, diffs)]
     ps = _studentized_range_sf(np.array(qs), len(g), df2).tolist()
-    return [TukeyPair(na, nb, diff, q, p, p < alpha)
+    return [TukeyPair(na, nb, diff, q, p, p < TUKEY_ALPHA)
             for (na, nb), diff, q, p in zip(pairs, diffs, qs, ps)]
 
 
-def bootstrap_ci(data: Sequence[float], n_iterations: int = 1000,
-                 level: float = 95.0, *, rng: Seed) -> BootstrapCI:
+def bootstrap_ci(data: Sequence[float], *, rng: Seed) -> BootstrapCI:
     """Percentile bootstrap confidence interval for the mean.
 
-    Resamples the data with replacement ``n_iterations`` times, takes
-    the mean of each resample, and reports the (100-level)/2 and
-    100-(100-level)/2 percentiles of those means. The caller supplies
-    the seed, so identical inputs give identical intervals.
+    Resamples the data with replacement BOOTSTRAP_RESAMPLES times, takes
+    the mean of each resample, and reports the percentiles that bound
+    the central BOOTSTRAP_LEVEL percent of those means. The caller
+    supplies the seed, so identical inputs give identical intervals.
     """
     arr = _sample(data, "data")
-    if n_iterations < 1:
-        raise ValidationError(f"n_iterations must be >= 1, got {n_iterations}")
-    if not (0 < level < 100):
-        raise ValidationError(f"level must be in (0, 100), got {level}")
     gen = make_generator(rng)
-    idx = gen.integers(0, arr.size, size=(n_iterations, arr.size))
+    idx = gen.integers(0, arr.size, size=(BOOTSTRAP_RESAMPLES, arr.size))
     means = arr[idx].mean(axis=1)
-    alpha = 100.0 - level
-    lower = float(np.percentile(means, alpha / 2.0))
-    upper = float(np.percentile(means, 100.0 - alpha / 2.0))
-    return BootstrapCI(float(arr.mean()), lower, upper, level)
+    tail = (100.0 - BOOTSTRAP_LEVEL) / 2.0
+    lower = float(np.percentile(means, tail))
+    upper = float(np.percentile(means, 100.0 - tail))
+    return BootstrapCI(float(arr.mean()), lower, upper, BOOTSTRAP_LEVEL)
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based); tied values share the mean of their ranks."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Average ranks (1-based); tied values share the mean of their ranks.
+
+    A run of tied values that ends at sorted position e (1-based) and
+    holds c of them spans positions e - c + 1 to e; its midrank is the
+    mean of those two ends. -0.0 and 0.0 tie.
+    """
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+    ends = np.cumsum(counts)
+    return ((ends - counts + 1 + ends) / 2.0)[inverse]
 
 
 def wilcoxon_signed_rank(differences: Sequence[float]) -> WilcoxonResult:
@@ -429,7 +416,6 @@ def rank_variance(ranks: Sequence[float]) -> float:
     return float(_sample(ranks, "ranks").var(ddof=0))
 
 
-def rank_within(values: Sequence[float], descending: bool = True) -> np.ndarray:
-    """Midrank positions of values, rank 1 for the largest by default."""
-    arr = _sample(values, "values")
-    return _midranks(-arr if descending else arr)
+def rank_within(values: Sequence[float]) -> np.ndarray:
+    """Midrank positions of values, rank 1 for the largest."""
+    return _midranks(-_sample(values, "values"))

@@ -108,7 +108,8 @@ def load_sweep(path) -> SweepReport:
 
 
 DEFAULT_LAMBDAS = (0.0, 1e-5, 1e-4, 1e-3, 1e-2)
-DEFAULT_SEEDS = (42, 123, 456)
+# the ten seeds of every multi-seed grid in the paper
+DEFAULT_SEEDS = (42, 123, 456, 789, 1011, 1213, 1415, 1617, 1819, 2021)
 DEFAULT_EPOCHS = 5
 
 

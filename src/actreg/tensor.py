@@ -179,9 +179,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return self + (-other if isinstance(other, Tensor) else -float(other))
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -211,17 +208,6 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward: Backward) -> 
     out._parents = ()
     out._backward = None
     return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with exact inner-dimension checking."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
-    return _node(a.data @ b.data, (a, b),
-                 lambda g: (g @ b.data.T if a.requires_grad else None,
-                            a.data.T @ g if b.requires_grad else None))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -420,6 +406,12 @@ def max_pool2(x: Tensor) -> Tensor:
     return _node(out, (x,), backward)
 
 
+# Adam's moment decay rates and the denominator's guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam over one flat float64 buffer that holds every parameter.
 
@@ -433,29 +425,24 @@ class Adam:
     Temporaries of that size, freed every step, let malloc hand the heap
     top back to the OS, and each step would page-fault it in again.
 
-    L2 weight decay is folded into the gradient before the moment
-    updates (grad += weight_decay * param), the classic coupled form.
-    Bias correction uses the shared step counter, which ``step``
-    increments. A parameter without a gradient is stepped as if its
-    gradient were zero.
+    The moments decay at ADAM_BETA1 and ADAM_BETA2, and ADAM_EPS guards
+    the denominator. L2 weight decay is folded into the gradient before
+    the moment updates (grad += weight_decay * param), the classic
+    coupled form. Bias correction uses the shared step counter, which
+    ``step`` increments. A parameter without a gradient is stepped as if
+    its gradient were zero.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  weight_decay: float = 0.0):
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValidationError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if eps <= 0.0 or lr < 0.0 or weight_decay < 0.0:
-            raise ValidationError("lr and weight_decay must be >= 0 and eps > 0")
+        if lr < 0.0 or weight_decay < 0.0:
+            raise ValidationError("lr and weight_decay must be >= 0")
         self.params = list(params)
         if not self.params:
             raise ValidationError("Adam needs at least one parameter")
         if len({id(p) for p in self.params}) != len(self.params):
             raise ValidationError("a parameter is listed twice")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.flat = np.empty(sum(p.size for p in self.params), dtype=np.float64)
         start = 0
@@ -493,7 +480,7 @@ class Adam:
         np.concatenate(grads, out=g)
         if not np.isfinite(g, out=finite).all():
             raise NonFiniteError("gradient contains non-finite values")
-        beta1, beta2, eps = self.beta1, self.beta2, self.eps
+        beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - beta1 ** t

@@ -24,7 +24,7 @@ from .models import (ARCH_ACTIVATIONS, Model, ModelSpec, build_model,
 from .objective import (_eval_batches, activation_energy,
                         dataset_activation_energy, regularized_loss)
 from .power import check_poll_hz, energy_per_correct, integrate, live_source
-from .records import ExperimentRecord
+from .records import ExperimentRecord, plain_number
 from .rng import check_seed, split_streams
 from .tensor import Adam, no_grad, softmax_cross_entropy
 
@@ -52,6 +52,8 @@ class RunConfig:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValidationError(f"{name} must be an int, got {v!r}")
         check_seed(self.seed)
+        for name in ("lr", "weight_decay", "lam", "val_fraction"):
+            object.__setattr__(self, name, plain_number(name, getattr(self, name)))
         if self.lr <= 0 or not np.isfinite(self.lr):
             raise ValidationError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
@@ -80,10 +82,7 @@ def _blas_core() -> str:
     BLAS reads ``unknown``.
     """
     import ctypes
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath
+    from numpy._core import _multiarray_umath
     try:
         lib = ctypes.CDLL(_multiarray_umath.__file__)
         corename = lib.scipy_openblas_get_corename64_
@@ -258,7 +257,3 @@ def train(config: RunConfig, data: DatasetHandle) -> tuple[Model, ExperimentReco
     )
     return model, record
 
-
-def seed_protocol() -> list[int]:
-    """The ten fixed seeds used for multi-seed experiment grids."""
-    return [42, 123, 456, 789, 1011, 1213, 1415, 1617, 1819, 2021]

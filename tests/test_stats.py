@@ -18,7 +18,8 @@ import pytest
 
 from actreg.errors import ValidationError
 from actreg.rng import make_generator
-from actreg.stats import (_studentized_range_sf, bootstrap_ci,
+from actreg.stats import (BOOTSTRAP_LEVEL, BOOTSTRAP_RESAMPLES,
+                          _studentized_range_sf, bootstrap_ci,
                           coefficient_of_variation, linear_fit,
                           one_way_anova, rank_variance, rank_within,
                           tukey_hsd, two_way_anova_type2,
@@ -308,11 +309,17 @@ def test_bootstrap_coverage_near_nominal():
     assert 0.90 <= coverage <= 0.98, f"coverage {coverage:.3f}"
 
 
-def test_bootstrap_level_changes_width():
-    data = list(make_generator(2).normal(size=25))
-    wide = bootstrap_ci(data, level=99.0, rng=make_generator(7))
-    narrow = bootstrap_ci(data, level=80.0, rng=make_generator(7))
-    assert (wide.upper - wide.lower) > (narrow.upper - narrow.lower)
+def test_bootstrap_interval_is_the_central_95_percent():
+    # BOOTSTRAP_RESAMPLES resample means from the same seeded generator,
+    # cut at the 2.5th and 97.5th percentiles
+    data = make_generator(2).normal(size=25)
+    ci = bootstrap_ci(data, rng=make_generator(7))
+    idx = make_generator(7).integers(0, 25, size=(BOOTSTRAP_RESAMPLES, 25))
+    means = data[idx].mean(axis=1)
+    assert (BOOTSTRAP_RESAMPLES, BOOTSTRAP_LEVEL) == (1000, 95.0)
+    assert ci.level == BOOTSTRAP_LEVEL
+    assert (ci.lower, ci.upper) == (np.percentile(means, 2.5),
+                                    np.percentile(means, 97.5))
 
 
 # ---------------------------------------------------------------- wilcoxon
@@ -445,8 +452,38 @@ def test_rank_variance_fixture():
 def test_rank_within_descending_midranks():
     ranks = rank_within([0.9, 0.8, 0.9, 0.1])
     np.testing.assert_allclose(ranks, [1.5, 3.0, 1.5, 4.0])
-    ascending = rank_within([10.0, 30.0, 20.0], descending=False)
-    np.testing.assert_allclose(ascending, [1.0, 3.0, 2.0])
+
+
+def _brute_midranks(values):
+    """Each value's rank: the mean of the 1-based positions its tied
+    copies take in ascending order."""
+    ordered = sorted(values)
+    return np.array([np.mean([i + 1 for i, u in enumerate(ordered) if u == v])
+                     for v in values])
+
+
+def _tied_samples():
+    gen = make_generator(61)
+    for n in (2, 5, 12, 13, 40):
+        yield gen.integers(-3, 4, size=n).astype(float)  # heavy ties
+        yield np.round(gen.normal(size=n), 1)
+    yield np.array([0.0, -0.0, 1.5, -0.0, -1.5, 0.0, 1.5])
+    yield np.array([-2.0, 2.0, -0.0, 0.0, 3.0, -3.0, 2.0])
+    yield np.array([4.25])
+
+
+@pytest.mark.parametrize("sample", list(_tied_samples()),
+                         ids=lambda s: f"n{s.size}")
+def test_ranks_equal_brute_force_midranks(sample):
+    # rank 1 for the largest: ascending midranks of the negated values
+    np.testing.assert_array_equal(rank_within(sample),
+                                  _brute_midranks(list(-sample)))
+    d = sample[sample != 0.0]
+    result = wilcoxon_signed_rank(sample)
+    ranks = _brute_midranks(list(np.abs(d)))
+    w_plus = ranks[d > 0].sum()
+    assert result.n_nonzero == d.size
+    assert result.statistic == min(w_plus, ranks.sum() - w_plus)
 
 
 @pytest.mark.parametrize("call, name", [

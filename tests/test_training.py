@@ -11,9 +11,11 @@ from actreg.models import ModelSpec, build_model, forward_traced
 from actreg.objective import (EVAL_ROWS, activation_energy,
                               dataset_activation_energy, regularized_loss)
 from actreg.power import live_source
+from actreg.records import load_record, save_record
+from actreg.sweep import DEFAULT_SEEDS
 from actreg.tensor import softmax_cross_entropy
 from actreg.training import (RunConfig, _batch_objective, _eval_objective,
-                             evaluate, hardware_descriptor, seed_protocol, train)
+                             evaluate, hardware_descriptor, train)
 
 DATA = synth_blobs(classes=3, dim=8, n_per_class=40, separation=3.0, seed=7)
 
@@ -290,6 +292,38 @@ def test_a_numpy_integer_seed_trains_and_records_a_python_int():
     assert _stable(record) == _stable(plain)
 
 
+@pytest.mark.parametrize("model, settings, refused", [
+    (dict(hidden_dim=True), {}, "hidden_dim"),
+    (dict(arch="bimodal", glia_ratio=True), {}, "glia_ratio"),
+    ({}, dict(lr=True), "lr"),
+    ({}, dict(weight_decay=True), "weight_decay"),
+    ({}, dict(lam=True), "lam"),
+    ({}, dict(lam="0.1"), "lam"),
+    (dict(input_dim=np.int64(8), hidden_dim=np.int64(12),
+          output_dim=np.int64(3)), {}, None),
+    (dict(arch="bimodal", glia_ratio=np.float32(0.5)), {}, None),
+    ({}, dict(lam=np.float32(1e-3)), None),
+    ({}, dict(lr=np.float64(1e-3), weight_decay=np.float32(1e-5),
+              val_fraction=np.float32(0.2)), None),
+], ids=lambda v: repr(v) if isinstance(v, dict) else None)
+def test_settings_are_refused_or_recorded_as_plain_numbers(model, settings,
+                                                           refused, tmp_path):
+    # each of these used to be accepted, and then failed inside train(),
+    # or gave a record that save_record refuses
+    def config():
+        spec = dict(arch="mlp", input_dim=8, hidden_dim=12, output_dim=3)
+        return _config(model=ModelSpec(**{**spec, **model}), max_epochs=1,
+                       **settings)
+    if refused:
+        with pytest.raises(ValidationError, match=refused):
+            config()
+        return
+    _, record = train(config(), DATA)
+    stored = record.to_json_dict()
+    assert not any(isinstance(v, np.generic) for v in stored.values())
+    assert load_record(save_record(record, tmp_path)).to_json_dict() == stored
+
+
 def test_config_is_frozen():
     config = _config()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -330,8 +364,8 @@ def test_telemetry_failure_degrades_to_null():
 
 
 def test_seed_protocol_is_published():
-    seeds = seed_protocol()
-    assert seeds == [42, 123, 456, 789, 1011, 1213, 1415, 1617, 1819, 2021]
+    seeds = DEFAULT_SEEDS
+    assert seeds == (42, 123, 456, 789, 1011, 1213, 1415, 1617, 1819, 2021)
     assert len(set(seeds)) == 10
 
 
