@@ -36,13 +36,21 @@ ARCH_ACTIVATIONS = {
 }
 
 
+def _positive_int(name: str, value) -> int:
+    """``value`` as a plain int >= 1: numpy ints are converted, bools refused."""
+    v = plain_number(name, value)
+    if not isinstance(v, int) or v < 1:
+        raise ValidationError(f"{name} must be a positive int, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture selection plus the dimensions needed to build it.
 
     ``glia_ratio`` is meaningful only for the bimodal architecture and
-    must be None otherwise. ``conv_channels`` and ``dense_dim`` apply
-    only to the cnn architecture.
+    must be None otherwise. ``conv_channels`` and ``dense_dim`` are
+    checked for every architecture and used only by the cnn.
     """
 
     arch: str
@@ -57,13 +65,13 @@ class ModelSpec:
         if self.arch not in ARCHITECTURES:
             raise ValidationError(f"unknown architecture {self.arch!r}, "
                                   f"expected one of {ARCHITECTURES}")
-        # what a record stores is a plain Python number: numpy scalars are
-        # converted, and bools are refused
-        for name in ("input_dim", "hidden_dim", "output_dim"):
-            v = plain_number(name, getattr(self, name))
-            if not isinstance(v, int) or v < 1:
-                raise ValidationError(f"{name} must be a positive int, got {v!r}")
-            object.__setattr__(self, name, v)
+        for name in ("input_dim", "hidden_dim", "output_dim", "dense_dim"):
+            object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
+        widths = self.conv_channels
+        if not isinstance(widths, (tuple, list)) or len(widths) != 2:
+            raise ValidationError(f"conv_channels must be two widths, got {widths!r}")
+        object.__setattr__(self, "conv_channels",
+                           tuple(_positive_int("conv_channels", c) for c in widths))
         if self.arch == "bimodal":
             if self.glia_ratio is None:
                 raise ValidationError("bimodal requires glia_ratio")
@@ -82,9 +90,6 @@ class ModelSpec:
         if self.arch == "physics" and self.hidden_dim < 3:
             raise ValidationError("physics needs hidden_dim >= 3")
         if self.arch == "cnn":
-            c1, c2 = self.conv_channels
-            if c1 < 1 or c2 < 1 or self.dense_dim < 1:
-                raise ValidationError("conv_channels and dense_dim must be >= 1")
             self.image_shape  # validates input_dim is a square image
 
     @property

@@ -29,9 +29,9 @@ def activation_energy(trace: ForwardTrace) -> Tensor:
 
     def backward(g):
         # Each activation is a parent once per factor of a * a and gets
-        # c * a from each, added one at a time as through a mul node: a
-        # single 2 * c * a rounds differently once the activation holds a
-        # gradient.
+        # the same array c * a for each, added one at a time as through a
+        # mul node: a single 2 * c * a rounds differently once the
+        # activation holds a gradient.
         grads = []
         for a in acts:
             ga = float(g * (1.0 / a.data.shape[0])) * a.data

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .records import plain_number
 
 PHASES = ("training", "validation", "testing")
 
@@ -152,8 +153,8 @@ def replay_source(path) -> list[PowerSample]:
 
 
 def check_poll_hz(hz: float) -> None:
-    """Raise ValidationError unless hz is a poll rate in (0, 1000] Hz."""
-    if not (np.isfinite(hz) and 0 < hz <= 1000):
+    """Raise ValidationError unless hz is a number, not a bool, in (0, 1000] Hz."""
+    if not 0 < plain_number("poll rate", hz) <= 1000:
         raise ValidationError(f"poll rate must be in (0, 1000] Hz, got {hz}")
 
 

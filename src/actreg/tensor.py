@@ -8,12 +8,10 @@ gradient per parent, or None for a parent that needs none; it never
 refers to its own output node, so a graph holds no reference cycles and
 reference counting frees it as soon as its loss is dropped.
 ``backward()`` on a scalar walks the recorded graph once in reverse
-topological order and is the only place gradients are accumulated: the
-first one a node receives is assigned (copied for leaves, which own
-their arrays), the second is added into a new array, and later ones are
-added in place into that sum, so fan-out is handled correctly. Only
-arrays the engine allocated itself are written in place, never one a
-backward closure returned, which may alias another gradient.
+topological order and is the only place gradients are accumulated, by
+one rule: a closure returns arrays no other tensor holds (add, reshape
+and concat copy what they pass through), so the engine keeps the first
+gradient a node receives and adds each later one into it in place.
 Only the operations needed by the model zoo are provided, at the zoo's
 geometry: ``conv2d`` is same-padded with stride 1, ``concat`` joins
 columns, and there is one node per layer (``linear`` and ``conv2d``
@@ -41,6 +39,7 @@ import numpy as np
 from .errors import NonFiniteError, ShapeError, ValidationError
 from .rng import Seed, make_generator
 
+# upstream gradient in; per parent, an array no other tensor holds, or None
 Backward = Callable[[np.ndarray], Sequence[np.ndarray | None]]
 
 # Read only by ``_node``; set through ``no_grad``.
@@ -102,10 +101,8 @@ class Tensor:
 
         Visits every reachable interior node exactly once, children
         before parents, and clears its gradient; leaves add what they
-        receive to what they hold. A node's first gradient is assigned,
-        its second is added into a new array, and later ones are added
-        in place into that sum. Arrays that closures return are never
-        written: one may be a pass-through of another node's gradient.
+        receive to what they hold. A node keeps its first gradient, which
+        no other tensor holds, and each later one is added into it in place.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() starts from a scalar, shape is {self.shape}")
@@ -128,7 +125,6 @@ class Tensor:
                 if parent._parents and parent not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        summed: set[Tensor] = set()  # nodes whose grad this call allocated
         for node in reversed(order):
             if node._backward is None:
                 continue
@@ -136,13 +132,9 @@ class Tensor:
                 if not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    # a leaf owns its gradient: ops may pass arrays through
-                    parent.grad = g if parent._parents else g.copy()
-                elif parent in summed:
-                    parent.grad += g
+                    parent.grad = g
                 else:
-                    parent.grad = parent.grad + g
-                    summed.add(parent)
+                    parent.grad += g
 
     def sum(self) -> "Tensor":
         """Sum of all elements as a scalar tensor."""
@@ -151,14 +143,15 @@ class Tensor:
 
     def reshape(self, shape: tuple[int, ...]) -> "Tensor":
         return _node(self.data.reshape(shape), (self,),
-                     lambda g: (g.reshape(self.data.shape),))
+                     lambda g: (g.reshape(self.data.shape).copy(),))
 
     def __add__(self, other) -> "Tensor":
         if isinstance(other, Tensor):
             if self.shape != other.shape:
                 raise ShapeError(f"add shapes differ: {self.shape} vs {other.shape}")
-            return _node(self.data + other.data, (self, other), lambda g: (g, g))
-        return _node(self.data + float(other), (self,), lambda g: (g,))
+            return _node(self.data + other.data, (self, other),
+                         lambda g: (g.copy(), g.copy()))
+        return _node(self.data + float(other), (self,), lambda g: (g.copy(),))
 
     __radd__ = __add__
 
@@ -256,7 +249,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
         start, stop = stop, stop + p.shape[1]
         index.append((slice(None), slice(start, stop)))
     return _node(np.concatenate([p.data for p in parts], axis=1), tuple(parts),
-                 lambda g: [g[i] for i in index])
+                 lambda g: [g[i].copy() for i in index])
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -80,6 +80,21 @@ def test_spec_validation():
         ModelSpec("cnn", 37, 8, 2)  # 37 is not s*s
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("dense_dim", 2.5), ("dense_dim", True), ("dense_dim", 0),
+    ("conv_channels", (8.0, 16)), ("conv_channels", (8, True)),
+    ("conv_channels", (8, 16, 32)), ("conv_channels", (8,)), ("conv_channels", 8),
+])
+def test_cnn_widths_are_two_positive_ints(setting, value):
+    with pytest.raises(ValidationError, match=setting):
+        ModelSpec("cnn", 64, 8, 2, **{setting: value})
+    spec = ModelSpec("cnn", 64, 8, 2, conv_channels=[np.int64(3), 5],
+                     dense_dim=np.int64(7))
+    assert spec.conv_channels == (3, 5) and type(spec.conv_channels[0]) is int
+    assert type(spec.dense_dim) is int
+    build_model(spec, 0)
+
+
 def test_cnn_image_shape_inference():
     assert ModelSpec("cnn", 784, 8, 2).image_shape == (1, 28, 28)
     with pytest.raises(ValidationError, match="square"):

@@ -170,5 +170,6 @@ def test_live_source_factory_handles_none():
 
 
 def test_live_source_rejects_bad_rate():
-    with pytest.raises(ValidationError):
-        LiveSource("cmd", hz=0.0)
+    for hz in (0.0, 1001.0, float("inf"), "5", True, None):
+        with pytest.raises(ValidationError, match="poll rate"):
+            LiveSource("cmd", hz=hz)

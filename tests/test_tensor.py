@@ -354,7 +354,7 @@ def test_diamond_graph_counts_each_path_once():
 
 
 def test_leaves_own_their_gradients():
-    # add passes its upstream gradient straight through to both parents
+    # add hands both parents its upstream gradient
     a, b = _leaf([1.0, 2.0]), _leaf([3.0, 4.0])
     (a + b).sum().backward()
     assert a.grad is not b.grad
@@ -384,10 +384,9 @@ def _out_of_place_backward(root):
 
 
 def test_many_incoming_gradients_match_out_of_place_accumulation():
-    # h receives five gradients: one passed straight through by an add,
-    # whose other parent c shares that very array, two from h * h and two
-    # more; any write into an array a closure returned would change c's
-    # or h's gradient
+    # h receives five gradients: one from an add, whose other parent c
+    # receives the same values, two from h * h and two more; adding into
+    # an array another tensor holds would change c's or h's gradient
     gen = make_generator(13)
     values = [gen.normal(size=(6, 5)) for _ in range(3)]
 
@@ -407,6 +406,48 @@ def test_many_incoming_gradients_match_out_of_place_accumulation():
     np.testing.assert_array_equal(c.grad, ref[ref_c])
     for leaf, ref_leaf in zip(leaves, ref_leaves):
         np.testing.assert_array_equal(leaf.grad, ref[ref_leaf])
+
+
+_ZOO_SPECS = {"mlp": ModelSpec("mlp", 8, 12, 3),
+              "bimodal": ModelSpec("bimodal", 8, 12, 3, glia_ratio=1.0),
+              "physics": ModelSpec("physics", 8, 12, 3),
+              "cnn": ModelSpec("cnn", 16, 12, 3)}
+
+
+def _ownership_loss(case):
+    gen = make_generator(19)
+    if case in _ZOO_SPECS:
+        spec = _ZOO_SPECS[case]
+        trace = forward_traced(build_model(spec, 0),
+                               gen.normal(size=(32, spec.input_dim)))
+        ce = softmax_cross_entropy(trace.logits,
+                                   gen.integers(0, spec.output_dim, size=32))
+        return regularized_loss(ce, activation_energy(trace), 1e-3)
+    # h (and c for add and concat) gets exactly one gradient, through u
+    h, c = tanh(_leaf(gen.normal(size=(6, 5)))), relu(_leaf(gen.normal(size=(6, 5))))
+    u = {"add": lambda: h + c, "scalar_add": lambda: h + 1.0,
+         "reshape": lambda: h.reshape((5, 6)),
+         "concat": lambda: concat([h, c])}[case]()
+    return (u * _leaf(gen.normal(size=u.shape))).sum()
+
+
+@pytest.mark.parametrize("case", ["add", "scalar_add", "reshape", "concat",
+                                  *_ZOO_SPECS])
+def test_no_gradient_shares_memory_with_another_array(case):
+    # the engine adds into a node's first gradient in place, so that
+    # array must belong to the node alone
+    loss = _ownership_loss(case)
+    loss.backward()
+    tensors, stack = {loss}, [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if p not in tensors:
+                tensors.add(p)
+                stack.append(p)
+    grads = [t.grad for t in tensors if t.grad is not None]
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
+        assert not any(np.shares_memory(g, t.data) for t in tensors)
 
 
 def test_second_backward_on_one_graph_matches_two_graphs():

@@ -10,7 +10,7 @@ from actreg.errors import NonFiniteError, ValidationError
 from actreg.models import ModelSpec, build_model, forward_traced
 from actreg.objective import (EVAL_ROWS, activation_energy,
                               dataset_activation_energy, regularized_loss)
-from actreg.power import live_source
+from actreg.power import PowerSample, live_source
 from actreg.records import load_record, save_record
 from actreg.sweep import DEFAULT_SEEDS
 from actreg.tensor import softmax_cross_entropy
@@ -273,7 +273,7 @@ def test_config_validation():
     ("batch_size", True), ("batch_size", 2.5), ("batch_size", 16.0),
     ("max_epochs", 2.5), ("max_epochs", np.int64(4)), ("patience", 1.5),
     ("patience", True), ("telemetry_hz", 5000.0), ("telemetry_hz", 0.0),
-    ("telemetry_hz", float("nan")),
+    ("telemetry_hz", float("nan")), ("telemetry_hz", "5"), ("telemetry_hz", True),
 ])
 def test_config_refuses_what_a_record_could_not_store(setting, value):
     # each of these used to pass, then trained oddly, failed inside
@@ -340,17 +340,33 @@ def test_evaluate_counts_correct():
     assert ce > 0
 
 
-def test_telemetry_populates_energy_fields():
-    # energy integrates only from two samples on; a meter that starts in
-    # milliseconds polled at 100 Hz takes them within the first ~15 ms
-    # of a run that lasts well over 100 ms
-    config = _config(max_epochs=60, patience=60,
-                     telemetry_command=FAST_METER, telemetry_hz=100.0)
-    _, rec = train(config, DATA)
+class _FixedMeter:
+    """A started session that read 50 W for 1 s, however long the run took."""
+
+    available = True
+
+    def start(self):
+        pass
+
+    def set_phase(self, phase):
+        pass
+
+    def stop(self):
+        return [PowerSample(0.0, 50.0, "training"), PowerSample(1.0, 50.0, "testing")]
+
+
+def test_telemetry_populates_energy_fields(monkeypatch):
+    # live polling is covered in test_power; here the samples are fixed,
+    # so the energy fields are exact
+    import actreg.training
+    monkeypatch.setattr(actreg.training, "live_source",
+                        lambda command, hz: _FixedMeter())
+    _, rec = train(_config(telemetry_command="fixed-meter"), DATA)
     assert rec.status == "ok"
-    # a 50 W meter polled through a short run still yields > 0 mJ
-    assert rec.energy_mj_total is not None and rec.energy_mj_total > 0
-    assert rec.energy_mj_per_correct is None or rec.energy_mj_per_correct > 0
+    correct = round(rec.test_accuracy * DATA.test_x.shape[0])
+    assert correct > 0
+    assert rec.energy_mj_total == 50_000.0
+    assert rec.energy_mj_per_correct == 50_000.0 / correct
 
 
 def test_telemetry_failure_degrades_to_null():
