@@ -8,8 +8,7 @@ comparisons over persisted experiment records.
 """
 
 from .analysis import Table, analyze_records, parameter_count_table
-from .datasets import (DatasetHandle, load_idx_dataset, load_idx_images,
-                       load_idx_labels, synth_blobs)
+from .datasets import DatasetHandle, load_idx_dataset, synth_blobs
 from .errors import NonFiniteError, ParseError, ShapeError, ValidationError
 from .models import (ARCHITECTURES, ForwardTrace, Model, ModelSpec,
                      build_model, forward_traced, param_count_for)
@@ -40,10 +39,10 @@ __all__ = [
     "build_model", "coefficient_of_variation", "dataset_activation_energy",
     "energy_per_correct", "evaluate", "forward_traced", "grad_check",
     "integrate", "linear_fit", "live_source", "load_idx_dataset",
-    "load_idx_images", "load_idx_labels", "load_record", "load_records",
-    "load_sweep", "make_generator", "one_way_anova", "param_count_for",
-    "parameter_count_table", "rank_variance", "rank_within",
-    "regularized_loss", "replay_source", "run_lambda_sweep", "save_record",
-    "save_sweep", "softmax_cross_entropy", "synth_blobs",
-    "train", "tukey_hsd", "two_way_anova_type2", "wilcoxon_signed_rank",
+    "load_record", "load_records", "load_sweep", "make_generator",
+    "one_way_anova", "param_count_for", "parameter_count_table",
+    "rank_variance", "rank_within", "regularized_loss", "replay_source",
+    "run_lambda_sweep", "save_record", "save_sweep", "softmax_cross_entropy",
+    "synth_blobs", "train", "tukey_hsd", "two_way_anova_type2",
+    "wilcoxon_signed_rank",
 ]

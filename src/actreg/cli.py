@@ -194,17 +194,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         data, template, lambdas, seeds, lr=s["lr"],
         batch_size=s["batch_size"], epochs=args.epochs,
         weight_decay=s["weight_decay"])
-    print(report.table().to_text())
-    if report.failed:
-        print(f"{len(report.failed)} cell(s) diverged and were excluded",
-              file=sys.stderr)
-    if args.out:
-        path = save_sweep(report, args.out)
-        print(f"sweep report: {path}")
+    # the cells are saved first: they outlive a baseline that diverged
     if args.records_dir_out:
         for record in report.cells:
             _save_record(record, args.records_dir_out)
         print(f"cell records: {args.records_dir_out}")
+    if report.failed:
+        named = ", ".join(f"lam={c.lam:g} seed={c.seed}" for c in report.failed)
+        print(f"{len(report.failed)} cell(s) diverged and were excluded: "
+              f"{named}", file=sys.stderr)
+    if not any(c.lam == 0.0 for c in report.cells if c.status == "ok"):
+        raise NonFiniteError("every lam = 0 baseline cell diverged; no "
+                             "reference energy to compare against")
+    print(report.table().to_text())
+    if args.out:
+        path = save_sweep(report, args.out)
+        print(f"sweep report: {path}")
     return 0
 
 

@@ -10,6 +10,8 @@ shuffle, so a (seed, parameters) pair names one exact dataset.
 from __future__ import annotations
 
 import gzip
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,10 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .records import plain_int
 from .rng import Seed, make_generator
-
-IMAGES_MAGIC = 0x00000803
-LABELS_MAGIC = 0x00000801
 
 
 @dataclass
@@ -40,6 +40,12 @@ class DatasetHandle:
     image_shape: tuple[int, int, int] | None = None
 
     def __post_init__(self):
+        # the name is part of every record's filename
+        if (not isinstance(self.name, str) or not self.name
+                or "/" in self.name or os.sep in self.name):
+            raise ValidationError(f"dataset name must be a non-empty string "
+                                  f"without a path separator, got {self.name!r}")
+        self.classes = plain_int("classes", self.classes, 2)
         if self.train_x.ndim != 2 or self.test_x.ndim != 2:
             raise ValidationError("features must be 2-D (n, input_dim)")
         if self.train_x.shape[1] != self.test_x.shape[1]:
@@ -54,8 +60,6 @@ class DatasetHandle:
         for split, x in (("train", self.train_x), ("test", self.test_x)):
             if not np.isfinite(x).all():
                 raise ValidationError(f"{split} features contain non-finite values")
-        if self.classes < 2:
-            raise ValidationError(f"need at least 2 classes, got {self.classes}")
         for y in (self.train_y, self.test_y):
             if y.size and (y.min() < 0 or y.max() >= self.classes):
                 raise ValidationError(f"labels outside [0, {self.classes})")
@@ -65,44 +69,37 @@ class DatasetHandle:
         return self.train_x.shape[1]
 
 
-def _read_bytes(path) -> bytes:
+def _read_idx(path, ndim: int) -> np.ndarray:
+    """The uint8 array of a raw or gzipped IDX file of unsigned bytes in
+    ``ndim`` dimensions, in the shape its header states."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:2] == b"\x1f\x8b":
         buf = gzip.decompress(buf)
-    return buf
+    header = 4 + 4 * ndim
+    if len(buf) < header:
+        raise ParseError(f"{path}: header truncated", offset=len(buf))
+    magic, *shape = struct.unpack_from(f">{1 + ndim}I", buf, 0)
+    expected = 0x00000800 + ndim
+    if magic != expected:
+        raise ParseError(f"{path}: bad magic 0x{magic:08x}, expected "
+                         f"0x{expected:08x}", offset=0)
+    size = math.prod(shape)
+    if len(buf) < header + size:
+        raise ParseError(f"{path}: payload truncated, expected "
+                         f"{header + size} bytes", offset=len(buf))
+    return np.frombuffer(buf, dtype=np.uint8, count=size,
+                         offset=header).reshape(shape)
 
 
 def load_idx_images(path) -> np.ndarray:
     """Read an IDX image file into (n, 1, rows, cols) float64 in [0, 1]."""
-    buf = _read_bytes(path)
-    if len(buf) < 16:
-        raise ParseError(f"{path}: header truncated", offset=len(buf))
-    magic, n, rows, cols = struct.unpack_from(">IIII", buf, 0)
-    if magic != IMAGES_MAGIC:
-        raise ParseError(f"{path}: bad magic 0x{magic:08x}, expected "
-                         f"0x{IMAGES_MAGIC:08x}", offset=0)
-    expected = 16 + n * rows * cols
-    if len(buf) < expected:
-        raise ParseError(f"{path}: payload truncated, expected {expected} bytes",
-                         offset=len(buf))
-    pixels = np.frombuffer(buf, dtype=np.uint8, count=n * rows * cols, offset=16)
-    return pixels.reshape(n, 1, rows, cols).astype(np.float64) / 255.0
+    return _read_idx(path, 3)[:, None].astype(np.float64) / 255.0
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Read an IDX label file into an (n,) int64 array."""
-    buf = _read_bytes(path)
-    if len(buf) < 8:
-        raise ParseError(f"{path}: header truncated", offset=len(buf))
-    magic, n = struct.unpack_from(">II", buf, 0)
-    if magic != LABELS_MAGIC:
-        raise ParseError(f"{path}: bad magic 0x{magic:08x}, expected "
-                         f"0x{LABELS_MAGIC:08x}", offset=0)
-    if len(buf) < 8 + n:
-        raise ParseError(f"{path}: payload truncated, expected {8 + n} bytes",
-                         offset=len(buf))
-    return np.frombuffer(buf, dtype=np.uint8, count=n, offset=8).astype(np.int64)
+    return _read_idx(path, 1).astype(np.int64)
 
 
 def load_idx_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray,
@@ -128,19 +125,11 @@ _IDX_NAMES = {
 def find_idx_files(directory) -> dict[str, Path] | None:
     """Locate the four standard IDX files (raw or .gz) or return None."""
     d = Path(directory)
-    found: dict[str, Path] = {}
-    for key, stems in _IDX_NAMES.items():
-        for stem in stems:
-            for suffix in ("", ".gz"):
-                candidate = d / (stem + suffix)
-                if candidate.is_file():
-                    found[key] = candidate
-                    break
-            if key in found:
-                break
-        if key not in found:
-            return None
-    return found
+    found = {key: next((d / (stem + suffix) for stem in stems
+                        for suffix in ("", ".gz")
+                        if (d / (stem + suffix)).is_file()), None)
+             for key, stems in _IDX_NAMES.items()}
+    return None if None in found.values() else found
 
 
 def load_idx_dataset(directory, name: str = "mnist") -> DatasetHandle:
@@ -168,10 +157,9 @@ def synth_blobs(classes: int, dim: int, n_per_class: int, separation: float,
     while within-cluster noise stays unit, so separation 0 collapses all
     classes onto one cloud.
     """
-    if classes < 2:
-        raise ValidationError(f"need at least 2 classes, got {classes}")
-    if dim < 1 or n_per_class < 2:
-        raise ValidationError("dim must be >= 1 and n_per_class >= 2")
+    classes = plain_int("classes", classes, 2)
+    dim = plain_int("dim", dim, 1)
+    n_per_class = plain_int("n_per_class", n_per_class, 2)
     if not (np.isfinite(separation) and separation >= 0):
         raise ValidationError(f"separation must be finite and >= 0, "
                               f"got {separation}")

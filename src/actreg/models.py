@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .records import plain_number
+from .records import plain_int, plain_number
 from .rng import Seed, make_generator
 from .tensor import (Tensor, concat, conv2d, linear, max_pool2, relu, sigmoid,
                      tanh)
@@ -34,14 +34,6 @@ ARCH_ACTIVATIONS = {
     "mlp": ["relu"],
     "cnn": ["relu"],
 }
-
-
-def _positive_int(name: str, value) -> int:
-    """``value`` as a plain int >= 1: numpy ints are converted, bools refused."""
-    v = plain_number(name, value)
-    if not isinstance(v, int) or v < 1:
-        raise ValidationError(f"{name} must be a positive int, got {v!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -66,12 +58,12 @@ class ModelSpec:
             raise ValidationError(f"unknown architecture {self.arch!r}, "
                                   f"expected one of {ARCHITECTURES}")
         for name in ("input_dim", "hidden_dim", "output_dim", "dense_dim"):
-            object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
+            object.__setattr__(self, name, plain_int(name, getattr(self, name), 1))
         widths = self.conv_channels
         if not isinstance(widths, (tuple, list)) or len(widths) != 2:
             raise ValidationError(f"conv_channels must be two widths, got {widths!r}")
         object.__setattr__(self, "conv_channels",
-                           tuple(_positive_int("conv_channels", c) for c in widths))
+                           tuple(plain_int("conv_channels", c, 1) for c in widths))
         if self.arch == "bimodal":
             if self.glia_ratio is None:
                 raise ValidationError("bimodal requires glia_ratio")

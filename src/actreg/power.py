@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .records import plain_number
+from .records import plain_int, plain_number
 
 PHASES = ("training", "validation", "testing")
 
@@ -98,8 +98,7 @@ def energy_per_correct(joules: float, n_correct: int) -> float | None:
     """
     if not (np.isfinite(joules) and joules >= 0):
         raise ValidationError(f"joules must be finite and >= 0, got {joules}")
-    if not isinstance(n_correct, (int, np.integer)) or n_correct < 0:
-        raise ValidationError(f"n_correct must be a nonnegative int, got {n_correct!r}")
+    n_correct = plain_int("n_correct", n_correct, 0)
     if n_correct == 0:
         return None
     return 1000.0 * joules / n_correct

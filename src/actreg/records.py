@@ -126,6 +126,20 @@ def plain_number(name: str, value) -> int | float:
     return value.item() if isinstance(value, np.generic) else value
 
 
+def plain_int(name: str, value, least: int) -> int:
+    """``value`` as a Python int >= ``least``.
+
+    A numpy integer becomes its Python equal. A bool, a float, a string
+    or a smaller value raises ValidationError naming the setting.
+    """
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < least):
+        kind = {0: "a non-negative int", 1: "a positive int"}.get(
+            least, f"an int >= {least}")
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
+
+
 def record_from_dict(raw: dict[str, Any]) -> ExperimentRecord:
     """Build a record from parsed JSON, preserving unknown keys.
 

@@ -9,27 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .records import plain_int
 
 Seed = int | np.random.Generator
-
-
-def check_seed(seed) -> None:
-    """Raise ValidationError, naming the seed, unless it is an int >= 0.
-
-    A numpy integer counts as an int; a bool does not.
-    """
-    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
-            or seed < 0):
-        raise ValidationError(f"seed must be a non-negative int, got {seed!r}")
 
 
 def make_generator(seed: Seed) -> np.random.Generator:
     """Return a seeded Philox generator, or pass an existing one through."""
     if isinstance(seed, np.random.Generator):
         return seed
-    check_seed(seed)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    seed = plain_int("seed", seed, 0)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def split_streams(seed: int, n: int) -> list[np.random.Generator]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -60,12 +61,14 @@ def _rows(cells: list[ExperimentRecord]) -> list[SweepRow]:
 
 @dataclass
 class SweepReport:
-    """The cell records of a sweep, in grid order; ``rows`` derive from them."""
+    """The cell records of a sweep, in grid order; ``rows`` derive from them
+    when first read, so a grid whose baseline diverged keeps its cells."""
 
     cells: list[ExperimentRecord]
 
-    def __post_init__(self):
-        self.rows: list[SweepRow] = _rows(self.cells)
+    @cached_property
+    def rows(self) -> list[SweepRow]:
+        return _rows(self.cells)
 
     @property
     def failed(self) -> list[ExperimentRecord]:
@@ -101,7 +104,9 @@ def load_sweep(path) -> SweepReport:
     """Load a report from its cells; any other stored key is ignored."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return SweepReport([record_from_dict(c) for c in raw["cells"]])
+        report = SweepReport([record_from_dict(c) for c in raw["cells"]])
+        report.rows  # built now, so a file without a finished baseline is refused
+        return report
     except (json.JSONDecodeError, KeyError, TypeError, ParseError,
             ValidationError) as exc:
         raise ParseError(f"{path}: not a sweep report: {exc}") from None

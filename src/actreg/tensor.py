@@ -37,6 +37,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError, ValidationError
+from .records import plain_number
 from .rng import Seed, make_generator
 
 # upstream gradient in; per parent, an array no other tensor holds, or None
@@ -428,15 +429,17 @@ class Adam:
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
                  weight_decay: float = 0.0):
-        if lr < 0.0 or weight_decay < 0.0:
-            raise ValidationError("lr and weight_decay must be >= 0")
+        self.lr = plain_number("lr", lr)
+        self.weight_decay = plain_number("weight_decay", weight_decay)
+        for name in ("lr", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, "
+                                      f"got {getattr(self, name)}")
         self.params = list(params)
         if not self.params:
             raise ValidationError("Adam needs at least one parameter")
         if len({id(p) for p in self.params}) != len(self.params):
             raise ValidationError("a parameter is listed twice")
-        self.lr = lr
-        self.weight_decay = weight_decay
         self.flat = np.empty(sum(p.size for p in self.params), dtype=np.float64)
         start = 0
         for p in self.params:

@@ -24,8 +24,8 @@ from .models import (ARCH_ACTIVATIONS, Model, ModelSpec, build_model,
 from .objective import (_eval_batches, activation_energy,
                         dataset_activation_energy, regularized_loss)
 from .power import check_poll_hz, energy_per_correct, integrate, live_source
-from .records import ExperimentRecord, plain_number
-from .rng import check_seed, split_streams
+from .records import ExperimentRecord, plain_int, plain_number
+from .rng import split_streams
 from .tensor import Adam, no_grad, softmax_cross_entropy
 
 
@@ -46,21 +46,16 @@ class RunConfig:
     telemetry_hz: float = 1.0
 
     def __post_init__(self):
-        # what a record stores as an int must be one; a bool is not
-        for name in ("batch_size", "max_epochs", "patience"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"{name} must be an int, got {v!r}")
-        check_seed(self.seed)
+        # a record stores these as the Python numbers they equal
+        for name, least in (("batch_size", 1), ("max_epochs", 1),
+                            ("patience", 1), ("seed", 0)):
+            object.__setattr__(self, name, plain_int(name, getattr(self, name),
+                                                     least))
         for name in ("lr", "weight_decay", "lam", "val_fraction"):
             object.__setattr__(self, name, plain_number(name, getattr(self, name)))
         if self.lr <= 0 or not np.isfinite(self.lr):
             raise ValidationError(f"lr must be positive, got {self.lr}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ValidationError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not (1 <= self.patience <= self.max_epochs):
+        if self.patience > self.max_epochs:
             raise ValidationError(f"patience must be in [1, max_epochs], "
                                   f"got {self.patience}")
         if self.weight_decay < 0 or not np.isfinite(self.weight_decay):
@@ -244,7 +239,7 @@ def train(config: RunConfig, data: DatasetHandle) -> tuple[Model, ExperimentReco
         patience=config.patience,
         val_fraction=config.val_fraction,
         epochs_run=epochs_run,
-        seed=int(config.seed),
+        seed=config.seed,
         status=status,
         test_accuracy=accuracy,
         test_loss=loss_ce,

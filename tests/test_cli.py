@@ -154,6 +154,23 @@ def test_sweep_writes_report_and_cell_records(tmp_path, capsys):
     assert {r.seed for r in baseline} == {42, 123}
 
 
+def test_a_sweep_whose_baseline_diverged_keeps_its_cells(tmp_path, capsys):
+    # the report used to raise on construction, so every cell trained and
+    # none was saved, and the exit code (1) said the settings were bad
+    code = _run("sweep", "--hidden-dim", "8", "--per-class", "20",
+                "--lr", "1e200", "--epochs", "2", "--seeds", "1,2",
+                "--lambdas", "0,0.01", "--out", str(tmp_path / "sweep.json"),
+                "--records-dir-out", str(tmp_path / "cells"))
+    assert code == 2
+    records, issues = load_records(tmp_path / "cells")
+    assert len(records) == 4 and not issues
+    assert {r.status for r in records} == {"diverged"}
+    err = capsys.readouterr().err
+    assert "lam=0 seed=1" in err and "lam=0.01 seed=2" in err
+    assert "every lam = 0 baseline cell diverged" in err
+    assert not (tmp_path / "sweep.json").exists()  # load_sweep would refuse it
+
+
 RUN_ONLY = {"--lambda": "lambda", "--seed": "seed",
             "--val-fraction": "val_fraction", "--records-dir": "records_dir",
             "--telemetry-command": "telemetry.command",

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from actreg.cli import main
 from actreg.datasets import (DatasetHandle, find_idx_files, load_idx_dataset,
                              load_idx_images, load_idx_labels, load_idx_pair,
                              synth_blobs)
@@ -54,6 +55,9 @@ def test_gzip_transparency(tmp_path):
     path.write_bytes(gzip.compress(_idx_images([IMG_A])))
     x = load_idx_images(path)
     assert x.shape == (1, 1, 2, 2)
+    path = tmp_path / "labels.idx.gz"
+    path.write_bytes(gzip.compress(_idx_labels([2, 7, 1])))
+    np.testing.assert_array_equal(load_idx_labels(path), [2, 7, 1])
 
 
 def test_wrong_magic_is_rejected(tmp_path):
@@ -61,10 +65,14 @@ def test_wrong_magic_is_rejected(tmp_path):
     path.write_bytes(struct.pack(">IIII", 0x00000901, 1, 2, 2) + bytes(4))
     with pytest.raises(ParseError, match="magic"):
         load_idx_images(path)
-    # an images file fed to the label loader must also fail
+    # an images file fed to the label loader must also fail, and the
+    # other way round
     path.write_bytes(_idx_images([IMG_A]))
     with pytest.raises(ParseError, match="magic"):
         load_idx_labels(path)
+    path.write_bytes(_idx_labels(list(range(20))))
+    with pytest.raises(ParseError, match="magic"):
+        load_idx_images(path)
 
 
 def test_truncated_payload_reports_offset(tmp_path):
@@ -77,6 +85,16 @@ def test_truncated_payload_reports_offset(tmp_path):
     path.write_bytes(blob[:10])
     with pytest.raises(ParseError):
         load_idx_images(path)
+
+
+def test_image_layout_comes_from_the_header(tmp_path):
+    # 2 x 3, not square: six features, rows and columns as the file says
+    img = np.arange(6, dtype=np.uint8).reshape(2, 3)
+    (tmp_path / "i.idx").write_bytes(_idx_images([img, img[::-1]]))
+    (tmp_path / "l.idx").write_bytes(_idx_labels([0, 1]))
+    x, _, shape = load_idx_pair(tmp_path / "i.idx", tmp_path / "l.idx")
+    assert x.shape == (2, 6) and shape == (1, 2, 3)
+    np.testing.assert_array_equal(x[1].reshape(2, 3), img[::-1] / 255.0)
 
 
 def test_pair_count_mismatch(tmp_path):
@@ -168,6 +186,19 @@ def test_blobs_validation():
         synth_blobs(3, 4, 1, 1.0, 0)  # too few examples per class
     with pytest.raises(ValidationError):
         synth_blobs(3, 4, 10, -1.0, 0)
+
+
+@pytest.mark.parametrize("name", [5, None, "", "a/b"])
+def test_a_name_no_record_filename_can_hold_is_refused(name, tmp_path):
+    # such a name used to train, and then save_record failed on it
+    with pytest.raises(ValidationError, match="name"):
+        synth_blobs(3, 4, 10, 1.0, 7, name=name)
+    if isinstance(name, str) and name:
+        assert main(["run", "--hidden-dim", "8", "--max-epochs", "1",
+                     "--patience", "1", "--per-class", "20",
+                     "--dataset-name", name,
+                     "--records-dir", str(tmp_path)]) == 1
+        assert not any(tmp_path.iterdir())
 
 
 def test_handle_validation():

@@ -746,6 +746,20 @@ def test_adam_validates_inputs():
         _adam_step(Adam([p]), np.ones(3))
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", True), ("lr", "1e-3"),
+    ("weight_decay", float("nan")), ("weight_decay", True),
+])
+def test_adam_refuses_a_rate_no_step_could_use(setting, value):
+    # a NaN or bool rate used to be accepted; with NaN the first step
+    # wrote NaN into every parameter before raising NonFiniteError
+    p = _leaf(np.ones(2))
+    with pytest.raises(ValidationError, match=setting):
+        Adam([p], **{setting: value})
+    opt = Adam([p], lr=np.float32(1e-3), weight_decay=np.float64(0.0))
+    assert type(opt.lr) is float and type(opt.weight_decay) is float
+
+
 def test_adam_weight_decay_pulls_toward_zero():
     p = _leaf([10.0])
     _adam_step(Adam([p], lr=1e-3, weight_decay=0.1), np.zeros(1))

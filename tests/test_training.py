@@ -5,14 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from actreg.datasets import synth_blobs
+from actreg.datasets import DatasetHandle, synth_blobs
 from actreg.errors import NonFiniteError, ValidationError
 from actreg.models import ModelSpec, build_model, forward_traced
 from actreg.objective import (EVAL_ROWS, activation_energy,
                               dataset_activation_energy, regularized_loss)
-from actreg.power import PowerSample, live_source
+from actreg.power import PowerSample, energy_per_correct, live_source
 from actreg.records import load_record, save_record
-from actreg.sweep import DEFAULT_SEEDS
+from actreg.rng import make_generator
+from actreg.sweep import DEFAULT_SEEDS, run_lambda_sweep
 from actreg.tensor import softmax_cross_entropy
 from actreg.training import (RunConfig, _batch_objective, _eval_objective,
                              evaluate, hardware_descriptor, train)
@@ -271,7 +272,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("setting, value", [
     ("batch_size", True), ("batch_size", 2.5), ("batch_size", 16.0),
-    ("max_epochs", 2.5), ("max_epochs", np.int64(4)), ("patience", 1.5),
+    ("max_epochs", 2.5), ("patience", 1.5),
     ("patience", True), ("telemetry_hz", 5000.0), ("telemetry_hz", 0.0),
     ("telemetry_hz", float("nan")), ("telemetry_hz", "5"), ("telemetry_hz", True),
 ])
@@ -283,6 +284,63 @@ def test_config_refuses_what_a_record_could_not_store(setting, value):
         _config(**{setting: value})
     if setting == "telemetry_hz":
         _config(telemetry_hz=1000.0)  # LiveSource's upper bound is allowed
+
+
+_X, _Y = np.zeros((4, 2)), np.array([0, 1, 0, 1])
+
+
+# every entry point of records.plain_int: the setting it names, a call
+# that returns what it keeps of the value, and the least value accepted
+@pytest.mark.parametrize("setting, keep, least", [
+    pytest.param("batch_size", lambda v: _config(batch_size=v).batch_size, 1,
+                 id="RunConfig.batch_size"),
+    pytest.param("max_epochs", lambda v: _config(max_epochs=v, patience=1)
+                 .max_epochs, 1, id="RunConfig.max_epochs"),
+    pytest.param("patience", lambda v: _config(patience=v).patience, 1,
+                 id="RunConfig.patience"),
+    pytest.param("seed", lambda v: _config(seed=v).seed, 0, id="RunConfig.seed"),
+    pytest.param("input_dim", lambda v: ModelSpec("mlp", v, 4, 2).input_dim, 1,
+                 id="ModelSpec.input_dim"),
+    pytest.param("hidden_dim", lambda v: ModelSpec("mlp", 4, v, 2).hidden_dim, 1,
+                 id="ModelSpec.hidden_dim"),
+    pytest.param("output_dim", lambda v: ModelSpec("mlp", 4, 4, v).output_dim, 1,
+                 id="ModelSpec.output_dim"),
+    pytest.param("dense_dim", lambda v: ModelSpec("cnn", 64, 4, 2, dense_dim=v)
+                 .dense_dim, 1, id="ModelSpec.dense_dim"),
+    pytest.param("conv_channels", lambda v: ModelSpec(
+        "cnn", 64, 4, 2, conv_channels=(v, 5)).conv_channels[0], 1,
+                 id="ModelSpec.conv_channels"),
+    pytest.param("seed", lambda v: make_generator(v).bit_generator.seed_seq.entropy,
+                 0, id="make_generator"),
+    pytest.param("classes", lambda v: synth_blobs(v, 2, 5, 1.0, 0).classes, 2,
+                 id="synth_blobs.classes"),
+    pytest.param("dim", lambda v: synth_blobs(2, v, 5, 1.0, 0).train_x.shape[1],
+                 1, id="synth_blobs.dim"),
+    pytest.param("n_per_class", lambda v: synth_blobs(2, 2, v, 1.0, 0)
+                 .train_y.size, 2, id="synth_blobs.n_per_class"),
+    pytest.param("classes", lambda v: DatasetHandle("d", _X, _Y, _X, _Y, v).classes,
+                 2, id="DatasetHandle.classes"),
+    pytest.param("n_correct", lambda v: energy_per_correct(1.0, v), 0,
+                 id="energy_per_correct"),
+])
+def test_integer_settings_take_numpy_ints_and_refuse_the_rest(setting, keep, least):
+    # numpy integers were refused by RunConfig; synth_blobs raised a bare
+    # TypeError for a float dim and built 10 rows per class from 10.5
+    kept = keep(np.int64(3))
+    assert kept == keep(3) and type(kept) is type(keep(3))
+    assert not isinstance(kept, np.generic)
+    for bad in (True, 2.5, "3", least - 1):
+        with pytest.raises(ValidationError, match=f"^{setting} must be"):
+            keep(bad)
+
+
+def test_a_numpy_integer_epoch_count_sweeps_and_records_python_ints(tmp_path):
+    report = run_lambda_sweep(DATA, ModelSpec("mlp", 8, 6, 3), (0.0,),
+                              seeds=(np.int64(5),), epochs=np.int64(1))
+    cell = report.cells[0]
+    assert type(cell.max_epochs) is int and type(cell.seed) is int
+    assert load_record(save_record(cell, tmp_path)).to_json_dict() == \
+        cell.to_json_dict()
 
 
 def test_a_numpy_integer_seed_trains_and_records_a_python_int():
