@@ -112,15 +112,16 @@ def _resolve_settings(args: argparse.Namespace, keys) -> dict[str, object]:
 
 
 def _make_dataset(s: dict[str, object]) -> DatasetHandle:
+    # an unset name defaults to the dataset kind; an empty one goes on to
+    # DatasetHandle, which refuses it
+    name = s["dataset"] if s["dataset_name"] is None else s["dataset_name"]
     if s["dataset"] == "synth":
         return synth_blobs(s["classes"], s["feature_dim"], s["per_class"],
-                           s["separation"], s["dataset_seed"],
-                           name=s["dataset_name"] or "synth")
+                           s["separation"], s["dataset_seed"], name=name)
     if s["dataset"] in ("mnist", "idx"):
         if not s["data_dir"]:
             raise ValidationError("data_dir is required for IDX datasets")
-        return load_idx_dataset(s["data_dir"],
-                                name=s["dataset_name"] or str(s["dataset"]))
+        return load_idx_dataset(s["data_dir"], name=name)
     raise ValidationError(f"unknown dataset {s['dataset']!r}; expected "
                           f"synth, mnist, or idx")
 

@@ -1,9 +1,11 @@
 """Power telemetry: capture, replay, and trapezoidal energy integration.
 
 Samples are wattage readings tagged with the run phase that produced
-them. Energy is the trapezoidal integral of power over time; fewer than
-two samples integrate to a zero report rather than an error, because a
-too-short capture is an expected condition, not a bug.
+them. A replayed log is held as columns (``PowerTrace``), and
+``integrate`` works on columns whatever it is given. Energy is the
+trapezoidal integral of power over time; fewer than two samples
+integrate to a zero report rather than an error, because a too-short
+capture is an expected condition, not a bug.
 
 Live capture shells out to a user-supplied command that prints one
 wattage per invocation. If the command is missing or misbehaves the
@@ -18,8 +20,10 @@ import shlex
 import subprocess
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +32,7 @@ from .errors import ParseError, ValidationError
 from .records import plain_int, plain_number
 
 PHASES = ("training", "validation", "testing")
+_PHASE_CODE = {name: code for code, name in enumerate(PHASES)}
 
 
 class PowerSample(NamedTuple):
@@ -35,7 +40,6 @@ class PowerSample(NamedTuple):
 
     ``cpu_percent`` and ``memory_percent`` are auxiliary readings kept
     when a replay file carries them; they never enter the integral.
-    A named tuple, because replay builds one per log line.
     """
 
     timestamp_s: float
@@ -45,9 +49,56 @@ class PowerSample(NamedTuple):
     memory_percent: float | None = None
 
 
-# Column getters by field position; C-level maps over them take the
-# columns of a long replay faster than a Python loop over the samples.
-_TIME, _WATTS, _PHASE = itemgetter(0), itemgetter(1), itemgetter(2)
+class PowerTrace(Sequence):
+    """A power log held as read-only columns, one row per sample.
+
+    ``timestamp_s`` and ``watts`` are float64; ``phase`` is an int8
+    index into PHASES; ``cpu_percent`` and ``memory_percent`` are object
+    arrays holding a float, or None where the sample has no reading.
+    ``trace[i]`` is row i as a PowerSample. Build one with
+    ``replay_source`` or ``PowerTrace.of``.
+    """
+
+    __slots__ = ("timestamp_s", "watts", "phase", "cpu_percent", "memory_percent")
+
+    def __init__(self, timestamp_s, watts, phase, cpu_percent, memory_percent):
+        for name, column in zip(self.__slots__, (timestamp_s, watts, phase,
+                                                 cpu_percent, memory_percent)):
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, samples) -> PowerTrace:
+        """The trace of a sequence of PowerSamples; a PowerTrace is returned as is.
+
+        Raises ValidationError if a sample's phase is not in PHASES, since
+        the phase column can only hold an index into PHASES.
+        """
+        if isinstance(samples, PowerTrace):
+            return samples
+        n = len(samples)
+        t, w, phase, cpu, mem = zip(*samples) if n else ((),) * 5
+        codes = np.fromiter(map(_PHASE_CODE.get, phase, repeat(-1)), np.int8, n)
+        if (codes < 0).any():
+            bad = phase[int(np.argmax(codes < 0))]
+            raise ValidationError(f"sample has unknown phase {bad!r}, "
+                                  f"expected one of {PHASES}")
+        return cls(np.fromiter(t, np.float64, n), np.fromiter(w, np.float64, n), codes,
+                   np.fromiter(cpu, object, n), np.fromiter(mem, object, n))
+
+    def __len__(self) -> int:
+        return len(self.timestamp_s)
+
+    def __getitem__(self, i) -> PowerSample:
+        i = index(i)
+        return PowerSample(float(self.timestamp_s[i]), float(self.watts[i]),
+                           PHASES[self.phase[i]], self.cpu_percent[i],
+                           self.memory_percent[i])
+
+    def __iter__(self):
+        return map(PowerSample, self.timestamp_s.tolist(), self.watts.tolist(),
+                   map(PHASES.__getitem__, self.phase.tolist()),
+                   self.cpu_percent, self.memory_percent)
 
 
 @dataclass(frozen=True)
@@ -58,25 +109,25 @@ class EnergyReport:
     sample_count: int
 
 
-def integrate(samples: list[PowerSample], phase: str | None = None) -> EnergyReport:
-    """Trapezoidal energy of a sample list, optionally for one phase.
+def integrate(samples: PowerTrace | list[PowerSample],
+              phase: str | None = None) -> EnergyReport:
+    """Trapezoidal energy of a trace or sample list, optionally for one phase.
 
-    Samples must be in nondecreasing time order after phase filtering.
-    Fewer than two samples yield the zero report.
+    A list becomes a PowerTrace first, so a sample with an unknown phase
+    is refused whatever the filter. Samples must be in nondecreasing time
+    order after phase filtering. Fewer than two samples yield the zero
+    report.
     """
+    if phase is not None and phase not in PHASES:
+        raise ValidationError(f"unknown phase {phase!r}, expected one of {PHASES}")
+    trace = PowerTrace.of(samples)
+    t, p = trace.timestamp_s, trace.watts
     if phase is not None:
-        if phase not in PHASES:
-            raise ValidationError(f"unknown phase {phase!r}, expected one of {PHASES}")
-        samples = [s for s in samples if s.phase == phase]
-    n = len(samples)
+        keep = trace.phase == _PHASE_CODE[phase]
+        t, p = t[keep], p[keep]
+    n = len(t)
     if n < 2:
         return EnergyReport(0.0, 0.0, 0.0, n)
-    if not set(map(_PHASE, samples)).issubset(PHASES):
-        bad = next(s.phase for s in samples if s.phase not in PHASES)
-        raise ValidationError(f"sample has unknown phase {bad!r}, "
-                              f"expected one of {PHASES}")
-    t = np.fromiter(map(_TIME, samples), np.float64, n)
-    p = np.fromiter(map(_WATTS, samples), np.float64, n)
     if not np.isfinite(t).all() or not np.isfinite(p).all():
         raise ValidationError("samples contain non-finite values")
     if (p < 0).any():
@@ -104,51 +155,122 @@ def energy_per_correct(joules: float, n_correct: int) -> float | None:
     return 1000.0 * joules / n_correct
 
 
-def replay_source(path) -> list[PowerSample]:
+# Characters of a replay file parsed at a time: large enough that the
+# per-block numpy calls cost little, small enough that the block's line
+# and token strings stay a few MB.
+_BLOCK_CHARS = 1 << 20
+
+
+def replay_source(path) -> PowerTrace:
     """Parse a replay file: ``timestamp_s<TAB>watts<TAB>phase`` per line.
 
     Two optional trailing tab-separated floats are read as cpu_percent
-    and memory_percent. Blank lines and # comments are skipped.
-    Timestamps must be nondecreasing. Any malformed line raises
+    and memory_percent. Blank lines and # comments are skipped, and a
+    leading UTF-8 byte-order mark is ignored. Numbers follow ``float()``.
+    Timestamps must be nondecreasing. The first malformed line raises
     ParseError with its 1-based line number.
     """
-    samples: list[PowerSample] = []
+    blocks = [PowerTrace.of(())]  # gives each column its dtype if no line is data
     last_t = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if not 3 <= len(parts) <= 5:
-                raise ParseError(f"expected 3 to 5 tab-separated fields, "
-                                 f"got {len(parts)}", line=lineno)
-            try:
-                t = float(parts[0])
-                w = float(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"non-numeric field: {exc}", line=lineno) from None
-            if not (math.isfinite(t) and math.isfinite(w)):
-                raise ParseError("non-finite timestamp or wattage", line=lineno)
-            if w < 0:
-                raise ParseError(f"negative wattage {w}", line=lineno)
-            phase = parts[2]
-            if phase not in PHASES:
-                raise ParseError(f"unknown phase {phase!r}, expected one of "
-                                 f"{PHASES}", line=lineno)
-            aux: list[float | None] = [None, None]
-            for k, field in enumerate(parts[3:5]):
-                try:
-                    aux[k] = float(field)
-                except ValueError:
-                    raise ParseError(f"non-numeric auxiliary field {field!r}",
-                                     line=lineno) from None
-            if last_t is not None and t < last_t:
-                raise ParseError(f"timestamp {t} out of order (previous {last_t})",
-                                 line=lineno)
-            last_t = t
-            samples.append(PowerSample(t, w, phase, aux[0], aux[1]))
-    return samples
+    lines_before = 0
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        while lines := fh.readlines(_BLOCK_CHARS):
+            block = _parse_block(lines, lines_before, last_t)
+            if len(block):
+                blocks.append(block)
+                last_t = float(block.timestamp_s[-1])
+            lines_before += len(lines)
+    return PowerTrace(*(np.concatenate([getattr(b, name) for b in blocks])
+                        for name in PowerTrace.__slots__))
+
+
+def _parse_block(lines: list[str], lines_before: int,
+                 last_t: float | None) -> PowerTrace:
+    """Columns of one block of replay lines, or ParseError at its first bad line.
+
+    ``lines_before`` counts the file's lines ahead of the block and
+    ``last_t`` is the timestamp of the last sample ahead of it. Every
+    check runs over the block's arrays; the first line that fails one is
+    then refused by ``_line_error``, which states the first check it fails.
+    """
+    comment = np.array(list(map(str.lstrip, lines)), dtype="U1") == "#"
+    blank = np.fromiter(map(str.isspace, lines), bool, len(lines))
+    rows = np.flatnonzero(~(comment | blank))
+    if len(rows) < len(lines):
+        lines = [lines[r] for r in rows.tolist()]
+    fields = np.fromiter(map(str.count, lines, repeat("\t")), np.intp, len(lines)) + 1
+    # the columns stop at the first line with a bad field count; it is the
+    # line refused unless a line before it fails another check
+    bad_count = (fields < 3) | (fields > 5)
+    m = int(np.argmax(bad_count)) if bad_count.any() else len(lines)
+    fields = fields[:m]
+    tokens = np.array("".join(lines[:m]).replace("\n", "\t").split("\t"), dtype=object)
+    start = np.cumsum(fields) - fields
+    t = _floats(tokens[start])[0]
+    w = _floats(tokens[start + 1])[0]
+    phase = np.fromiter(map(_PHASE_CODE.get, tokens[start + 2], repeat(-1)), np.int8, m)
+    bad = ~np.isfinite(t) | ~np.isfinite(w) | (w < 0) | (phase < 0)
+    bad[1:] |= t[1:] < t[:-1]
+    if m and last_t is not None:
+        bad[0] |= t[0] < last_t
+    aux = []
+    for k in (3, 4):
+        has = fields > k
+        values, refused = _floats(tokens[start[has] + k])
+        bad[has] |= refused
+        column = np.full(m, None, dtype=object)
+        column[has] = values
+        aux.append(column)
+    if bad.any() or m < len(lines):
+        j = int(np.argmax(bad)) if bad.any() else m
+        previous = float(t[j - 1]) if j else last_t
+        raise ParseError(_line_error(lines[j], previous),
+                         line=lines_before + int(rows[j]) + 1)
+    return PowerTrace(t, w, phase, *aux)
+
+
+def _floats(tokens) -> tuple[np.ndarray, np.ndarray]:
+    """float() of every token, and which tokens float() refuses (they read NaN)."""
+    refused = np.zeros(len(tokens), bool)
+    try:
+        return np.fromiter(map(float, tokens), np.float64, len(tokens)), refused
+    except ValueError:
+        pass
+    values = np.full(len(tokens), np.nan)
+    for k, token in enumerate(tokens):
+        try:
+            values[k] = float(token)
+        except ValueError:
+            refused[k] = True
+    return values, refused
+
+
+def _line_error(raw: str, last_t: float | None) -> str:
+    """Why one replay line is refused: the first check it fails, in order.
+
+    A line that passes every other check is refused for its timestamp,
+    which comes before ``last_t``.
+    """
+    parts = raw.rstrip("\n").split("\t")
+    if not 3 <= len(parts) <= 5:
+        return f"expected 3 to 5 tab-separated fields, got {len(parts)}"
+    try:
+        t = float(parts[0])
+        w = float(parts[1])
+    except ValueError as exc:
+        return f"non-numeric field: {exc}"
+    if not (math.isfinite(t) and math.isfinite(w)):
+        return "non-finite timestamp or wattage"
+    if w < 0:
+        return f"negative wattage {w}"
+    if parts[2] not in PHASES:
+        return f"unknown phase {parts[2]!r}, expected one of {PHASES}"
+    for field in parts[3:]:
+        try:
+            float(field)
+        except ValueError:
+            return f"non-numeric auxiliary field {field!r}"
+    return f"timestamp {t} out of order (previous {last_t})"
 
 
 def check_poll_hz(hz: float) -> None:

@@ -107,6 +107,23 @@ def test_a_negative_seed_is_named_wherever_it_enters(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_an_empty_dataset_name_is_refused_not_renamed(tmp_path, capsys, monkeypatch):
+    # IDX files stand in for themselves: the loader builds blobs under the given name
+    monkeypatch.setattr(cli, "load_idx_dataset",
+                        lambda directory, name: synth_blobs(3, 6, 30, 2.0, 0, name=name))
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("dataset_name =\n")
+    for source in (["--dataset-name", ""], ["--config", str(cfg)],
+                   ["--dataset", "idx", "--data-dir", "d", "--dataset-name", ""]):
+        assert _run(*SMALL_RUN, *source, "--records-dir", str(tmp_path / "rd")) == 1
+        assert "error: dataset name must be a non-empty string" in capsys.readouterr().err
+    assert not (tmp_path / "rd").exists()
+    for source, name in (([], "synth"), (["--dataset", "idx", "--data-dir", "d"], "idx")):
+        assert _run(*SMALL_RUN, *source, "--records-dir", str(tmp_path / name)) == 0
+        (record,), _ = load_records(tmp_path / name)
+        assert record.dataset == name
+
+
 def test_config_parse_errors():
     with pytest.raises(ParseError):
         parse_config("/nonexistent/path.cfg")

@@ -1,14 +1,22 @@
 """Power traces: trapezoid integration fixtures, replay parsing, live polling."""
 
+import math
 import sys
+import tempfile
 import time
+from collections.abc import Sequence
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from actreg import power
 from actreg.errors import ParseError, ValidationError
 from actreg.power import (PHASES, EnergyReport, LiveSource, PowerSample,
-                          energy_per_correct, integrate, live_source,
-                          replay_source)
+                          PowerTrace, energy_per_correct, integrate,
+                          live_source, replay_source)
 
 
 def _samples(points, phase="training"):
@@ -133,6 +141,195 @@ def test_replay_skips_blank_and_comment_lines(tmp_path):
     path.write_text("# meter: fixture\n\n0.0\t10.0\ttraining\n"
                     "1.0\t10.0\ttraining\n")
     assert len(replay_source(path)) == 2
+
+
+def test_replay_ignores_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.tsv"
+    for head in ("\ufeff# meter export\n", "\ufeff"):
+        path.write_text(head + "0.0\t10.0\ttraining\n1.0\t10.0\ttesting\n", encoding="utf-8")
+        assert list(replay_source(path)) == [PowerSample(0.0, 10.0, "training"),
+                                             PowerSample(1.0, 10.0, "testing")]
+
+
+def test_replay_returns_read_only_columns(tmp_path):
+    path = tmp_path / "trace.tsv"
+    path.write_text("0.0\t100.0\ttraining\n1.0\t101.5\tvalidation\t12.5\n"
+                    "2.0\t99.0\ttesting\t10.0\t55.5\n")
+    trace = replay_source(path)
+    assert isinstance(trace, Sequence) and len(trace) == 3
+    assert trace.timestamp_s.tolist() == [0.0, 1.0, 2.0]
+    assert trace.watts.tolist() == [100.0, 101.5, 99.0]
+    assert trace.phase.dtype == "int8" and trace.phase.tolist() == [0, 1, 2]
+    assert trace.cpu_percent.tolist() == [None, 12.5, 10.0]
+    assert trace.memory_percent.tolist() == [None, None, 55.5]
+    assert trace[-1] == PowerSample(2.0, 99.0, "testing", 10.0, 55.5)
+    with pytest.raises(IndexError):
+        trace[3]
+    with pytest.raises(ValueError, match="read-only"):
+        trace.watts[0] = 0.0
+    assert PowerTrace.of(trace) is trace
+    assert list(PowerTrace.of(list(trace))) == list(trace)
+    assert len(PowerTrace.of([])) == 0
+
+
+def test_a_sample_with_an_unknown_phase_is_refused_whatever_the_filter():
+    # a trace's phase column indexes PHASES, so no trace can hold the tag
+    for samples, phase in (([PowerSample(0.0, 1.0, "noodling")], None),
+                           (_samples([(0.0, 1.0), (1.0, 1.0)])
+                            + [PowerSample(2.0, 1.0, "noodling")], "training")):
+        with pytest.raises(ValidationError, match="unknown phase 'noodling'"):
+            integrate(samples, phase=phase)
+
+
+def _line_parser(path) -> list[PowerSample]:
+    """Reference: the replay parser that checked and built one sample per line."""
+    samples: list[PowerSample] = []
+    last_t = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            if not 3 <= len(parts) <= 5:
+                raise ParseError(f"expected 3 to 5 tab-separated fields, "
+                                 f"got {len(parts)}", line=lineno)
+            try:
+                t = float(parts[0])
+                w = float(parts[1])
+            except ValueError as exc:
+                raise ParseError(f"non-numeric field: {exc}", line=lineno) from None
+            if not (math.isfinite(t) and math.isfinite(w)):
+                raise ParseError("non-finite timestamp or wattage", line=lineno)
+            if w < 0:
+                raise ParseError(f"negative wattage {w}", line=lineno)
+            phase = parts[2]
+            if phase not in PHASES:
+                raise ParseError(f"unknown phase {phase!r}, expected one of "
+                                 f"{PHASES}", line=lineno)
+            aux: list[float | None] = [None, None]
+            for k, field in enumerate(parts[3:5]):
+                try:
+                    aux[k] = float(field)
+                except ValueError:
+                    raise ParseError(f"non-numeric auxiliary field {field!r}",
+                                     line=lineno) from None
+            if last_t is not None and t < last_t:
+                raise ParseError(f"timestamp {t} out of order (previous {last_t})",
+                                 line=lineno)
+            last_t = t
+            samples.append(PowerSample(t, w, phase, aux[0], aux[1]))
+    return samples
+
+
+def _outcome(parse, path):
+    """Samples as reprs (so NaN readings compare equal), or the error and its line."""
+    try:
+        return [repr(s) for s in parse(path)]
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _spellings(x: float):
+    """Ways a meter export might write x, all read by float()."""
+    sign = "+" if x >= 0 else ""
+    return st.sampled_from([repr(x), f"{x:.6g}", f" {x!r} ", f"{x:e}", f"{sign}{x!r}"])
+
+
+NOT_NUMBERS = st.sampled_from(["abc", "", "1.0.0", "0x10", "--1", "1e", "\x00", "1,5"])
+NOT_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "1e999", "-1e999"])
+NOT_PHASES = st.sampled_from(["Training", "warmup", "", "testing ", " validation"])
+COMMENTS = st.sampled_from(["#", "# meter: fixture", "   # indented", "\t# tab-indented",
+                            "\u2003#em-space-indented", "#\t1.0\t2.0\ttraining"])
+BLANKS = st.sampled_from(["", "   ", "\t", "\x0b", "\x0c", "\x1c", "\u2028"])
+AUX = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+KINDS = ("data",) * 8 + ("comment", "blank")
+# defects in the order they are applied to one line; "count" goes last
+# because it drops or adds fields
+DEFECTS = ("order", "time", "watts", "negative", "non-finite", "phase", "aux", "count")
+
+
+@st.composite
+def replay_logs(draw):
+    """Replay text whose lines are data, comments and blanks, with CRLF and CR
+    endings mixed in. About half the logs also hold malformed lines, each
+    with one to three defects, so the order of the checks shows too."""
+    kinds = KINDS + (("malformed",) * 2 if draw(st.booleans()) else ())
+    t = draw(st.floats(-1e3, 1e3))
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "comment":
+            lines.append(draw(COMMENTS))
+            continue
+        if kind == "blank":
+            lines.append(draw(BLANKS))
+            continue
+        t += draw(st.sampled_from([0.0, 1e-3, 0.1, 7.0]))
+        parts = [draw(_spellings(t)), draw(_spellings(draw(st.floats(0.0, 1e6)))),
+                 draw(st.sampled_from(PHASES)), *draw(st.lists(AUX, max_size=2))]
+        defects = (draw(st.sets(st.sampled_from(DEFECTS), min_size=1, max_size=3))
+                   if kind == "malformed" else ())
+        for defect in sorted(defects, key=DEFECTS.index):
+            if defect == "order":
+                parts[0] = repr(t - draw(st.floats(1e-6, 10.0)))
+            elif defect == "time":
+                parts[0] = draw(NOT_NUMBERS)
+            elif defect == "watts":
+                parts[1] = draw(NOT_NUMBERS)
+            elif defect == "negative":
+                parts[1] = repr(-draw(st.floats(1e-300, 1e6)))
+            elif defect == "non-finite":
+                parts[draw(st.integers(0, 1))] = draw(NOT_FINITE)
+            elif defect == "phase":
+                parts[2] = draw(NOT_PHASES)
+            elif defect == "aux":
+                parts[3:] = [draw(AUX), draw(NOT_NUMBERS)][-draw(st.integers(1, 2)):]
+            else:
+                parts = draw(st.sampled_from([parts[:1], parts[:2],
+                                              parts[:3] + ["1.0", "2.0", "3.0"]]))
+        lines.append("\t".join(parts))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-1] if text.endswith("\n") and draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=replay_logs(), block_chars=st.integers(1, 300))
+def test_replay_matches_the_line_parser(text, block_chars):
+    # small blocks put every kind of line, bad ones included, at block edges
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(_line_parser, path)
+        with mock.patch.object(power, "_BLOCK_CHARS", block_chars):
+            assert _outcome(replay_source, path) == expected
+            if isinstance(expected, tuple):
+                return
+            trace = replay_source(path)
+    samples = list(trace)
+    for phase in (None, *PHASES):
+        assert integrate(trace, phase=phase) == integrate(samples, phase=phase)
+    assert PowerTrace.of(trace) is trace
+    assert [repr(s) for s in PowerTrace.of(samples)] == expected
+
+
+def test_a_bad_line_on_either_side_of_a_block_edge(tmp_path):
+    path = tmp_path / "long.tsv"
+    good = [f"{0.1 * k!r}\t{100.0 + k % 7!r}\ttraining\n" for k in range(60_000)]
+    path.write_text("".join(good))
+    with open(path, encoding="utf-8") as fh:
+        first_block = len(fh.readlines(power._BLOCK_CHARS))
+    assert 1 < first_block < len(good)
+    assert _outcome(replay_source, path) == _outcome(_line_parser, path)
+    for k in (first_block - 1, first_block):
+        # out of order against the line before it, which is valid
+        path.write_text("".join(good[:k] + ["0.0\t100.0\ttraining\n"] + good[k + 1:]))
+        with pytest.raises(ParseError, match="out of order") as caught:
+            replay_source(path)
+        assert caught.value.line == k + 1
+        assert _outcome(replay_source, path) == _outcome(_line_parser, path)
 
 
 # ------------------------------------------------------------------- live
