@@ -10,7 +10,7 @@ from pathlib import Path
 from actreg import energy_per_correct, integrate, replay_source
 
 LOG = """\
-# seconds  watts  phase  [cpu%  mem%]
+# seconds  watts  phase  [cpu%  mem%: checked as numbers, then ignored]
 0.0\t40.0\ttraining\t55.0\t12.0
 2.0\t46.0\ttraining\t71.0\t12.1
 4.0\t44.0\ttraining\t69.0\t12.1

@@ -36,34 +36,25 @@ _PHASE_CODE = {name: code for code, name in enumerate(PHASES)}
 
 
 class PowerSample(NamedTuple):
-    """One wattage reading: seconds (monotonic), watts, phase tag.
-
-    ``cpu_percent`` and ``memory_percent`` are auxiliary readings kept
-    when a replay file carries them; they never enter the integral.
-    """
+    """One wattage reading: seconds (monotonic), watts, phase tag."""
 
     timestamp_s: float
     watts: float
     phase: str
-    cpu_percent: float | None = None
-    memory_percent: float | None = None
 
 
 class PowerTrace(Sequence):
     """A power log held as read-only columns, one row per sample.
 
-    ``timestamp_s`` and ``watts`` are float64; ``phase`` is an int8
-    index into PHASES; ``cpu_percent`` and ``memory_percent`` are object
-    arrays holding a float, or None where the sample has no reading.
-    ``trace[i]`` is row i as a PowerSample. Build one with
-    ``replay_source`` or ``PowerTrace.of``.
+    ``timestamp_s`` and ``watts`` are float64 and ``phase`` is an int8
+    index into PHASES. ``trace[i]`` is row i as a PowerSample. Build one
+    with ``replay_source`` or ``PowerTrace.of``.
     """
 
-    __slots__ = ("timestamp_s", "watts", "phase", "cpu_percent", "memory_percent")
+    __slots__ = ("timestamp_s", "watts", "phase")
 
-    def __init__(self, timestamp_s, watts, phase, cpu_percent, memory_percent):
-        for name, column in zip(self.__slots__, (timestamp_s, watts, phase,
-                                                 cpu_percent, memory_percent)):
+    def __init__(self, timestamp_s, watts, phase):
+        for name, column in zip(self.__slots__, (timestamp_s, watts, phase)):
             column.flags.writeable = False
             setattr(self, name, column)
 
@@ -77,14 +68,13 @@ class PowerTrace(Sequence):
         if isinstance(samples, PowerTrace):
             return samples
         n = len(samples)
-        t, w, phase, cpu, mem = zip(*samples) if n else ((),) * 5
+        t, w, phase = zip(*samples) if n else ((),) * 3
         codes = np.fromiter(map(_PHASE_CODE.get, phase, repeat(-1)), np.int8, n)
         if (codes < 0).any():
             bad = phase[int(np.argmax(codes < 0))]
             raise ValidationError(f"sample has unknown phase {bad!r}, "
                                   f"expected one of {PHASES}")
-        return cls(np.fromiter(t, np.float64, n), np.fromiter(w, np.float64, n), codes,
-                   np.fromiter(cpu, object, n), np.fromiter(mem, object, n))
+        return cls(np.fromiter(t, np.float64, n), np.fromiter(w, np.float64, n), codes)
 
     def __len__(self) -> int:
         return len(self.timestamp_s)
@@ -92,13 +82,11 @@ class PowerTrace(Sequence):
     def __getitem__(self, i) -> PowerSample:
         i = index(i)
         return PowerSample(float(self.timestamp_s[i]), float(self.watts[i]),
-                           PHASES[self.phase[i]], self.cpu_percent[i],
-                           self.memory_percent[i])
+                           PHASES[self.phase[i]])
 
     def __iter__(self):
         return map(PowerSample, self.timestamp_s.tolist(), self.watts.tolist(),
-                   map(PHASES.__getitem__, self.phase.tolist()),
-                   self.cpu_percent, self.memory_percent)
+                   map(PHASES.__getitem__, self.phase.tolist()))
 
 
 @dataclass(frozen=True)
@@ -164,9 +152,11 @@ _BLOCK_CHARS = 1 << 20
 def replay_source(path) -> PowerTrace:
     """Parse a replay file: ``timestamp_s<TAB>watts<TAB>phase`` per line.
 
-    Two optional trailing tab-separated floats are read as cpu_percent
-    and memory_percent. Blank lines and # comments are skipped, and a
-    leading UTF-8 byte-order mark is ignored. Numbers follow ``float()``.
+    One or two trailing tab-separated fields, such as a meter's cpu and
+    memory percent, must read as floats and are then ignored: the trace
+    holds only ``timestamp_s``, ``watts`` and ``phase``. Blank lines and
+    # comments are skipped, and a leading UTF-8 byte-order mark is
+    ignored. Numbers follow ``float()``.
     Timestamps must be nondecreasing. The first malformed line raises
     ParseError with its 1-based line number.
     """
@@ -213,20 +203,15 @@ def _parse_block(lines: list[str], lines_before: int,
     bad[1:] |= t[1:] < t[:-1]
     if m and last_t is not None:
         bad[0] |= t[0] < last_t
-    aux = []
     for k in (3, 4):
         has = fields > k
-        values, refused = _floats(tokens[start[has] + k])
-        bad[has] |= refused
-        column = np.full(m, None, dtype=object)
-        column[has] = values
-        aux.append(column)
+        bad[has] |= _floats(tokens[start[has] + k])[1]
     if bad.any() or m < len(lines):
         j = int(np.argmax(bad)) if bad.any() else m
         previous = float(t[j - 1]) if j else last_t
         raise ParseError(_line_error(lines[j], previous),
                          line=lines_before + int(rows[j]) + 1)
-    return PowerTrace(t, w, phase, *aux)
+    return PowerTrace(t, w, phase)
 
 
 def _floats(tokens) -> tuple[np.ndarray, np.ndarray]:

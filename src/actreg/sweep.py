@@ -22,7 +22,7 @@ from .analysis import Table
 from .datasets import DatasetHandle
 from .errors import ParseError, ValidationError
 from .models import ModelSpec
-from .records import ExperimentRecord, record_from_dict
+from .records import ExperimentRecord, plain_int, record_from_dict
 from .training import RunConfig, train
 
 
@@ -133,6 +133,7 @@ def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
     order. Diverged cells are dropped from the rows and listed in
     ``failed``. A list passed as ``records`` receives the same records.
     """
+    epochs = plain_int("epochs", epochs, 1)
     lambdas = sorted(set(float(l) for l in lambdas))
     if 0.0 not in lambdas:
         raise ValidationError("the lambda grid must include 0 for the baseline")

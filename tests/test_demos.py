@@ -20,6 +20,9 @@ def test_demo_exits_zero(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp_path)}
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=120)
+    # the warnings pyproject.toml makes errors under pytest are errors here too
+    warnings = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+                "-W", "error::FutureWarning"]
+    result = subprocess.run([sys.executable, *warnings, str(demo)], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

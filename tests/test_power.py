@@ -1,6 +1,7 @@
 """Power traces: trapezoid integration fixtures, replay parsing, live polling."""
 
 import math
+import re
 import sys
 import tempfile
 import time
@@ -90,11 +91,11 @@ def test_replay_round_trip(tmp_path):
                     "2.0\t99.0\ttesting\t10.0\t55.5\n")
     samples = replay_source(path)
     assert len(samples) == 3
-    assert samples[0] == PowerSample(0.0, 100.0, "training")
-    assert samples[1].cpu_percent == 12.5
-    assert samples[2].memory_percent == 55.5
-    # samples are immutable values whose auxiliary readings default to None
-    assert (samples[0].cpu_percent, samples[0].memory_percent) == (None, None)
+    # trailing fields are checked, then dropped
+    assert list(samples) == [PowerSample(0.0, 100.0, "training"),
+                             PowerSample(1.0, 101.5, "training"),
+                             PowerSample(2.0, 99.0, "testing")]
+    # samples are immutable values
     with pytest.raises(AttributeError):
         samples[0].watts = 0.0
 
@@ -160,9 +161,7 @@ def test_replay_returns_read_only_columns(tmp_path):
     assert trace.timestamp_s.tolist() == [0.0, 1.0, 2.0]
     assert trace.watts.tolist() == [100.0, 101.5, 99.0]
     assert trace.phase.dtype == "int8" and trace.phase.tolist() == [0, 1, 2]
-    assert trace.cpu_percent.tolist() == [None, 12.5, 10.0]
-    assert trace.memory_percent.tolist() == [None, None, 55.5]
-    assert trace[-1] == PowerSample(2.0, 99.0, "testing", 10.0, 55.5)
+    assert trace[-1] == PowerSample(2.0, 99.0, "testing")
     with pytest.raises(IndexError):
         trace[3]
     with pytest.raises(ValueError, match="read-only"):
@@ -170,6 +169,22 @@ def test_replay_returns_read_only_columns(tmp_path):
     assert PowerTrace.of(trace) is trace
     assert list(PowerTrace.of(list(trace))) == list(trace)
     assert len(PowerTrace.of([])) == 0
+
+
+def test_trailing_fields_are_checked_then_dropped(tmp_path):
+    # readings no percentage can take: the trace keeps none of them
+    rows = ["0.0\t40.0\ttraining", "1.0\t42.0\ttraining", "2.0\t30.0\tvalidation",
+            "3.0\t35.0\ttesting"]
+    trailing = ["\tnan\t-inf", "\t-50", "\t1e308\tnan", "\t-inf\t-50"]
+    full, bare = tmp_path / "full.tsv", tmp_path / "bare.tsv"
+    full.write_text("".join(r + t + "\n" for r, t in zip(rows, trailing)))
+    bare.write_text("".join(r + "\n" for r in rows))
+    trace = replay_source(full)
+    assert PowerSample._fields == PowerTrace.__slots__ == ("timestamp_s", "watts", "phase")
+    assert not hasattr(trace, "cpu_percent") and not hasattr(trace, "memory_percent")
+    assert list(trace) == list(replay_source(bare))
+    for phase in (None, *PHASES):
+        assert integrate(trace, phase=phase) == integrate(replay_source(bare), phase=phase)
 
 
 def test_a_sample_with_an_unknown_phase_is_refused_whatever_the_filter():
@@ -207,10 +222,9 @@ def _line_parser(path) -> list[PowerSample]:
             if phase not in PHASES:
                 raise ParseError(f"unknown phase {phase!r}, expected one of "
                                  f"{PHASES}", line=lineno)
-            aux: list[float | None] = [None, None]
-            for k, field in enumerate(parts[3:5]):
+            for field in parts[3:5]:
                 try:
-                    aux[k] = float(field)
+                    float(field)
                 except ValueError:
                     raise ParseError(f"non-numeric auxiliary field {field!r}",
                                      line=lineno) from None
@@ -218,16 +232,20 @@ def _line_parser(path) -> list[PowerSample]:
                 raise ParseError(f"timestamp {t} out of order (previous {last_t})",
                                  line=lineno)
             last_t = t
-            samples.append(PowerSample(t, w, phase, aux[0], aux[1]))
+            samples.append(PowerSample(t, w, phase))
     return samples
 
 
 def _outcome(parse, path):
-    """Samples as reprs (so NaN readings compare equal), or the error and its line."""
+    """Samples as reprs, or the error and its line."""
     try:
         return [repr(s) for s in parse(path)]
     except ParseError as exc:
         return str(exc), exc.line
+
+
+def _columns(trace):
+    return {name: getattr(trace, name).tobytes() for name in PowerTrace.__slots__}
 
 
 def _spellings(x: float):
@@ -308,6 +326,11 @@ def test_replay_matches_the_line_parser(text, block_chars):
             if isinstance(expected, tuple):
                 return
             trace = replay_source(path)
+            # the same log with every line cut to its first three fields
+            pieces = re.split(r"(\r\n|\r|\n)", text)
+            pieces[::2] = ["\t".join(line.split("\t")[:3]) for line in pieces[::2]]
+            path.write_bytes("".join(pieces).encode("utf-8"))
+            assert _columns(replay_source(path)) == _columns(trace)
     samples = list(trace)
     for phase in (None, *PHASES):
         assert integrate(trace, phase=phase) == integrate(samples, phase=phase)

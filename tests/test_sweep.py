@@ -218,6 +218,19 @@ def test_sweep_defaults_are_run_config_defaults(tmp_path):
             (RunConfig.lr, RunConfig.batch_size, RunConfig.weight_decay)
 
 
+def test_a_bad_epoch_count_is_named_as_epochs(capsys):
+    # the sweep passes epochs on as max_epochs and patience; the error
+    # names the setting the caller gave
+    for epochs in (0, True):
+        with pytest.raises(ValidationError,
+                           match=f"^epochs must be a positive int, got {epochs}$"):
+            _sweep(epochs=epochs)
+    assert main(["sweep", "--classes", "3", "--feature-dim", "6",
+                 "--per-class", "30", "--hidden-dim", "8", "--epochs", "0",
+                 "--lambdas", "0", "--seeds", "42"]) == 1
+    assert capsys.readouterr().err == "error: epochs must be a positive int, got 0\n"
+
+
 def test_load_sweep_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
