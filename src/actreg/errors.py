@@ -13,6 +13,10 @@ class NonFiniteError(ArithmeticError):
     """A computation produced or encountered NaN or infinity."""
 
 
+class CaptureError(RuntimeError):
+    """An op built while a Tape captures could not be rerun by a replay."""
+
+
 class ParseError(ValueError):
     """A file or stream does not conform to its documented format.
 

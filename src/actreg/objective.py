@@ -25,7 +25,11 @@ def activation_energy(trace: ForwardTrace) -> Tensor:
     acts = trace.hidden_activations
     if not acts:
         raise ValidationError("trace has no hidden activations")
-    total = sum((a.data * a.data).sum() * (1.0 / a.shape[0]) for a in acts)
+    scaled = [(a.data, 1.0 / a.shape[0]) for a in acts]
+    total = np.empty(())
+
+    def kernel():
+        total[...] = sum(np.add.reduce(d * d, axis=None) * c for d, c in scaled)
 
     def backward(g):
         # Each activation is a parent once per factor of a * a and gets
@@ -37,7 +41,7 @@ def activation_energy(trace: ForwardTrace) -> Tensor:
             ga = float(g * (1.0 / a.data.shape[0])) * a.data
             grads += (ga, ga)
         return grads
-    return _node(total, tuple(a for a in acts for _ in (0, 1)), backward)
+    return _node(total, tuple(a for a in acts for _ in (0, 1)), backward, kernel)
 
 
 def regularized_loss(ce, energy, lam: float):

@@ -202,6 +202,8 @@ def load_record(path) -> ExperimentRecord:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     try:
         return record_from_dict(raw)
     except ParseError as exc:

@@ -27,6 +27,8 @@ from .rng import Seed, make_generator
 TUKEY_ALPHA = 0.05
 BOOTSTRAP_RESAMPLES = 1000
 BOOTSTRAP_LEVEL = 95.0
+# resamples gathered at once: 128 rows of a 300-value sample are 300 KB
+_BOOTSTRAP_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -316,7 +318,12 @@ def bootstrap_ci(data: Sequence[float], *, rng: Seed) -> BootstrapCI:
     arr = _sample(data, "data")
     gen = make_generator(rng)
     idx = gen.integers(0, arr.size, size=(BOOTSTRAP_RESAMPLES, arr.size))
-    means = arr[idx].mean(axis=1)
+    # gathered a block of resamples at a time: each row's mean is the
+    # same, and no resamples-by-n float array is made
+    means = np.empty(BOOTSTRAP_RESAMPLES)
+    for start in range(0, BOOTSTRAP_RESAMPLES, _BOOTSTRAP_BLOCK):
+        stop = start + _BOOTSTRAP_BLOCK
+        arr[idx[start:stop]].mean(axis=1, out=means[start:stop])
     tail = (100.0 - BOOTSTRAP_LEVEL) / 2.0
     lower = float(np.percentile(means, tail))
     upper = float(np.percentile(means, 100.0 - tail))

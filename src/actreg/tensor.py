@@ -2,20 +2,39 @@
 
 A Tensor wraps a dense float64 array and, when it participates in a
 differentiable graph, remembers its parents and a backward closure.
-Every op builds its output through one constructor, ``_node``. A
+
+Ops. Every op builds its output through one constructor, ``_node``, and
+defines its arithmetic once, as a forward kernel: a closure that writes
+the op's output, and any intermediate its backward closure reads, into
+arrays the op allocated. ``_node`` runs the kernel once to fill them. A
 backward closure takes the output's upstream gradient and returns one
-gradient per parent, or None for a parent that needs none; it never
-refers to its own output node, so a graph holds no reference cycles and
-reference counting frees it as soon as its loss is dropped.
+gradient per parent, or None for a parent that needs none. Only the
+operations needed by the model zoo are provided, at the zoo's geometry:
+``conv2d`` is same-padded with stride 1, ``concat`` joins columns, and
+there is one node per layer (``linear`` and ``conv2d`` take their bias);
+shapes must match exactly.
+
+Graph lifetime. Neither closure refers to its own output node, only to
+arrays and parent tensors, so a graph holds no reference cycles and
+reference counting frees it as soon as its output is dropped.
 ``backward()`` on a scalar walks the recorded graph once in reverse
 topological order and is the only place gradients are accumulated, by
 one rule: a closure returns arrays no other tensor holds (add, reshape
 and concat copy what they pass through), so the engine keeps the first
 gradient a node receives and adds each later one into it in place.
-Only the operations needed by the model zoo are provided, at the zoo's
-geometry: ``conv2d`` is same-padded with stride 1, ``concat`` joins
-columns, and there is one node per layer (``linear`` and ``conv2d``
-take their bias); shapes must match exactly.
+Inside ``with no_grad():`` ops record no graph: outputs keep no parents
+and no backward closure, so evaluation passes allocate only their
+forward arrays.
+
+Capture and replay. A ``Tape`` records the kernel of every node built
+while its ``build`` function runs, in creation order, which is a
+topological order. ``Tape.replay()`` reruns those kernels, so the same
+output tensor, and every node under it, holds what a new build would
+give for the current contents of the arrays the graph reads: its input
+tensors' data and its parameters, both updated in place. ``backward()``
+then runs on the same graph unchanged. An op built under capture
+without a kernel raises ``CaptureError``; ``reshape`` returns a view,
+which each rerun of its parent updates, and needs none.
 
 Finiteness is checked at state boundaries, not per op: the public
 ``Tensor(...)`` constructor rejects NaN and infinity in inputs and
@@ -23,10 +42,6 @@ parameters, ``Adam.step`` rejects a non-finite gradient before it
 updates anything and non-finite parameters after, and callers check the
 loss they compute. An op output may therefore hold an overflow that a
 later op saturates away (``tanh(x * 10.0)`` at x = 1e308 is finite).
-
-Inside ``with no_grad():`` ops record no graph: outputs keep no parents
-and no backward closure, so evaluation passes allocate only their
-forward arrays.
 """
 
 from __future__ import annotations
@@ -36,15 +51,20 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError, ValidationError
+from .errors import CaptureError, NonFiniteError, ShapeError, ValidationError
 from .records import plain_number
 from .rng import Seed, make_generator
 
 # upstream gradient in; per parent, an array no other tensor holds, or None
 Backward = Callable[[np.ndarray], Sequence[np.ndarray | None]]
+# recomputes an op's output, and what its backward reads, in place
+Kernel = Callable[[], object]
 
 # Read only by ``_node``; set through ``no_grad``.
 _grad_enabled = True
+# (kernel, output) of each node built while a Tape captures, else None;
+# set only by ``Tape``
+_recording: list[tuple[Kernel, np.ndarray]] | None = None
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -139,20 +159,29 @@ class Tensor:
 
     def sum(self) -> "Tensor":
         """Sum of all elements as a scalar tensor."""
-        return _node(np.array(self.data.sum()), (self,),
-                     lambda g: (np.full_like(self.data, float(g)),))
+        x, out = self.data, np.empty(())
+        return _node(out, (self,), lambda g: (np.full_like(x, float(g)),),
+                     lambda: np.sum(x, out=out))
 
     def reshape(self, shape: tuple[int, ...]) -> "Tensor":
-        return _node(self.data.reshape(shape), (self,),
-                     lambda g: (g.reshape(self.data.shape).copy(),))
+        """A view of the data in a new shape: no kernel, nothing to rerun."""
+        x = self.data
+        view = x.reshape(shape)
+        if _recording is not None and not np.may_share_memory(view, x):
+            raise CaptureError(f"reshape of a {x.shape} array to {shape} copies "
+                               f"it, so a replay would not update the copy")
+        return _node(view, (self,), lambda g: (g.reshape(x.shape).copy(),), _view)
 
     def __add__(self, other) -> "Tensor":
         if isinstance(other, Tensor):
             if self.shape != other.shape:
                 raise ShapeError(f"add shapes differ: {self.shape} vs {other.shape}")
-            return _node(self.data + other.data, (self, other),
-                         lambda g: (g.copy(), g.copy()))
-        return _node(self.data + float(other), (self,), lambda g: (g.copy(),))
+            a, b, out = self.data, other.data, np.empty(self.shape)
+            return _node(out, (self, other), lambda g: (g.copy(), g.copy()),
+                         lambda: np.add(a, b, out=out))
+        a, c, out = self.data, float(other), np.empty(self.shape)
+        return _node(out, (self,), lambda g: (g.copy(),),
+                     lambda: np.add(a, c, out=out))
 
     __radd__ = __add__
 
@@ -160,10 +189,12 @@ class Tensor:
         if isinstance(other, Tensor):
             if self.shape != other.shape:
                 raise ShapeError(f"mul shapes differ: {self.shape} vs {other.shape}")
-            return _node(self.data * other.data, (self, other),
-                         lambda g: (g * other.data, g * self.data))
-        scale = float(other)
-        return _node(self.data * scale, (self,), lambda g: (g * scale,))
+            a, b, out = self.data, other.data, np.empty(self.shape)
+            return _node(out, (self, other), lambda g: (g * b, g * a),
+                         lambda: np.multiply(a, b, out=out))
+        a, scale, out = self.data, float(other), np.empty(self.shape)
+        return _node(out, (self,), lambda g: (g * scale,),
+                     lambda: np.multiply(a, scale, out=out))
 
     __rmul__ = __mul__
 
@@ -178,17 +209,34 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward: Backward) -> Tensor:
+def _view() -> None:
+    """The kernel of an output that is a view of its parent's data: each
+    rerun of the parent updates it, so a capture records nothing."""
+
+
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward: Backward,
+          kernel: Kernel | None = None) -> Tensor:
     """The one graph-node constructor every op builds its output with.
 
+    ``kernel`` computes ``data``, in place, from the parents' data; it
+    is run here, and recorded when a Tape captures. An op built without
+    one has its output already computed and cannot be captured.
     Constant subgraphs are pruned: when no parent needs a gradient, or
     under ``no_grad``, the output keeps no parents and no backward
-    closure. The output is not checked for finiteness.
+    closure. A capture still records their kernels, because they may
+    read the captured inputs. The output is not checked for finiteness.
     """
+    if kernel is not None:
+        kernel()
     out = Tensor.__new__(Tensor)
     # ops hand over float64 arrays, which need no conversion
     out.data = (data if type(data) is np.ndarray and data.dtype is _FLOAT64
                 else np.asarray(data, dtype=np.float64))
+    if _recording is not None and kernel is not _view:
+        if kernel is None:
+            raise CaptureError("an op without a forward kernel was built under "
+                               "capture; a replay could not rerun it")
+        _recording.append((kernel, out.data))
     out.grad = None
     if _grad_enabled:
         # a loop, not any() over a generator: this runs for every op output
@@ -210,30 +258,39 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if len(xs) != 2 or len(bs) != 1 or ws != (xs[1], bs[0]):
         raise ShapeError(f"linear needs (n, i), (i, o) and (o,) operands, got "
                          f"{xs}, {ws} and {bs}")
-    return _node(x.data @ w.data + b.data, (x, w, b),
-                 lambda g: (g @ w.data.T if x.requires_grad else None,
-                            x.data.T @ g, g.sum(axis=0)))
+    xd, wd, bd = x.data, w.data, b.data
+    out = np.empty((xs[0], bs[0]))
+
+    def kernel():
+        np.matmul(xd, wd, out=out)
+        np.add(out, bd, out=out)
+    return _node(out, (x, w, b),
+                 lambda g: (g @ wd.T if x.requires_grad else None,
+                            xd.T @ g, np.add.reduce(g, axis=0)), kernel)
 
 
 def relu(x: Tensor) -> Tensor:
-    return _node(np.maximum(x.data, 0.0), (x,), lambda g: (g * (x.data > 0),))
+    xd, out = x.data, np.empty(x.shape)
+    return _node(out, (x,), lambda g: (g * (xd > 0),),
+                 lambda: np.maximum(xd, 0.0, out=out))
 
 
 def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-    return _node(t, (x,), lambda g: (g * (1.0 - t * t),))
+    xd, t = x.data, np.empty(x.shape)
+    return _node(t, (x,), lambda g: (g * (1.0 - t * t),),
+                 lambda: np.tanh(xd, out=t))
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
-    return _node(s, (x,), lambda g: (g * s * (1.0 - s),))
+    z, s, e = x.data, np.empty(x.shape), np.empty(x.shape)
 
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp of a nonpositive argument never overflows; the numerator picks
-    # each sign's stable form, 1 / (1 + e) or e / (1 + e), for one divide
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    def kernel():
+        # exp of a nonpositive argument never overflows; the numerator
+        # picks each sign's stable form, 1 / (1 + e) or e / (1 + e), for
+        # one divide
+        np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+        np.divide(np.where(z >= 0, 1.0, e), np.add(1.0, e, out=s), out=s)
+    return _node(s, (x,), lambda g: (g * s * (1.0 - s),), kernel)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -249,8 +306,9 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
         # each part's gradient is a basic slice of g's columns
         start, stop = stop, stop + p.shape[1]
         index.append((slice(None), slice(start, stop)))
-    return _node(np.concatenate([p.data for p in parts], axis=1), tuple(parts),
-                 lambda g: [g[i].copy() for i in index])
+    datas, out = [p.data for p in parts], np.empty((first[0], stop))
+    return _node(out, tuple(parts), lambda g: [g[i].copy() for i in index],
+                 lambda: np.concatenate(datas, axis=1, out=out))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -284,34 +342,44 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ValidationError(f"label {int(y[bad[0]])} out of range [0, {k}) "
                               f"at row {int(bad[0])}")
     rows = np.arange(n)
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e.sum(axis=1, keepdims=True)
-    loss = (np.log(s[:, 0]) - z[rows, y]).sum() / n
+    x, loss = logits.data, np.empty(())
+    z, e, s = np.empty((n, k)), np.empty((n, k)), np.empty((n, 1))
+
+    def kernel():
+        # reads the labels from ``y`` on every run; the reductions are
+        # ``max`` and ``sum`` without their Python-level wrappers
+        np.subtract(x, np.maximum.reduce(x, axis=1, keepdims=True), out=z)
+        np.exp(z, out=e)
+        np.add.reduce(e, axis=1, keepdims=True, out=s)
+        loss[...] = np.add.reduce(np.log(s[:, 0]) - z[rows, y]) / n
 
     def backward(g):
         d = e / s
         d[rows, y] -= 1.0
         return (float(g) * d / n,)
-    return _node(np.array(loss), (logits,), backward)
+    return _node(loss, (logits,), backward, kernel)
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """Gather the k x k window around every position into (n, c*k*k, h*w).
+def _im2col_copies(x: np.ndarray, cols: np.ndarray) -> list[tuple]:
+    """The (destination, source) views that gather every k x k window.
 
-    The windows are read from one copy of ``x`` with a k // 2 zero
-    border: a zeroed array with ``x`` written into its interior, which
-    takes about half the time of ``np.pad`` at the cnn's shapes.
+    ``cols`` is (n, c, k, k, h, w): entry [..., i, j, r, q] is x at row
+    r + i - k // 2 and column q + j - k // 2, or zero off the image. Each
+    pair copies the part of one offset's window that lies on the image,
+    so a zeroed ``cols`` keeps its border and no padded copy of ``x`` is
+    made.
     """
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
+    k = cols.shape[2]
     p = k // 2
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
-    xp[:, :, p:p + h, p:p + w] = x
-    cols = np.empty((n, c, k, k, h, w), dtype=np.float64)
+    pairs = []
     for i in range(k):
+        r0, r1 = max(0, p - i), min(h, h + p - i)
         for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i:i + h, j:j + w]
-    return cols.reshape(n, c * k * k, h * w)
+            q0, q1 = max(0, p - j), min(w, w + p - j)
+            pairs.append((cols[:, :, i, j, r0:r1, q0:q1],
+                          x[:, :, r0 + i - p:r1 + i - p, q0 + j - p:q1 + j - p]))
+    return pairs
 
 
 def _col2im(dcols: np.ndarray, xshape: tuple[int, ...], k: int) -> np.ndarray:
@@ -343,21 +411,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if ck != c or b.shape != (o,) or kw != k or k % 2 == 0:
         raise ShapeError(f"kernels {w.shape} and bias {b.shape} do not fit input "
                          f"{x.shape}: need (o, {c}, k, k) with odd k, and (o,)")
-    cols = _im2col(x.data, k)
-    wf = w.data.reshape(o, c * k * k)
+    wd, bias = w.data, b.data[:, None]
+    cols6 = np.zeros((n, c, k, k, h, wid))
+    copies = _im2col_copies(x.data, cols6)
+    cols = cols6.reshape(n, c * k * k, h * wid)
+    out = np.empty((n, o, h * wid))
+
+    def kernel():
+        for dst, src in copies:
+            dst[...] = src
+        np.matmul(wd.reshape(o, c * k * k), cols, out=out)
+        np.add(out, bias, out=out)  # in place: no second output-sized array
 
     def backward(g):
         db = g.sum(axis=(0, 2, 3))
         g = g.reshape(n, o, h * wid)
         dx = dw = None
         if x.requires_grad:
-            dx = _col2im(np.matmul(wf.T, g), x.shape, k)
+            dx = _col2im(np.matmul(wd.reshape(o, c * k * k).T, g), x.shape, k)
         if w.requires_grad:
             dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         return dx, dw, db
-    out = np.matmul(wf, cols)
-    out += b.data[:, None]  # in place: no second output-sized array
-    return _node(out.reshape(n, o, h, wid), (x, w, b), backward)
+    return _node(out.reshape(n, o, h, wid), (x, w, b), backward, kernel)
 
 
 def max_pool2(x: Tensor) -> Tensor:
@@ -379,25 +454,69 @@ def max_pool2(x: Tensor) -> Tensor:
     # np.maximum returns its second argument on a tie (+-0, numpy 2.4), so
     # the earlier element goes second and the row-major first one wins
     x2 = x.data[:, :, :oh * 2, :ow * 2]
-    rows = np.maximum(x2[..., 1::2], x2[..., 0::2])
-    out = np.maximum(rows[:, :, 1::2], rows[:, :, 0::2])
+    left, right = x2[..., 0::2], x2[..., 1::2]
+    rows = np.empty((n, c, oh * 2, ow))
+    top, bottom = rows[:, :, 0::2], rows[:, :, 1::2]
+    out = np.empty((n, c, oh, ow))
+
+    def kernel():
+        np.maximum(right, left, out=rows)
+        np.maximum(bottom, top, out=out)
 
     def backward(g):
-        bottom = rows[:, :, 1::2] > rows[:, :, 0::2]
-        right = x2[..., 1::2] > x2[..., 0::2]
-        right = (bottom & right[:, :, 1::2]) | (~bottom & right[:, :, 0::2])
+        bottom_wins = bottom > top
+        right_wins = right > left
+        right_wins = ((bottom_wins & right_wins[:, :, 1::2])
+                      | (~bottom_wins & right_wins[:, :, 0::2]))
         # the winner's flat index in x, built in one index array: a row
         # for the bottom row, one for the right column, plus the window's
         # top-left corner
-        idx = np.multiply(bottom, w, dtype=np.intp)
-        idx += right
+        idx = np.multiply(bottom_wins, w, dtype=np.intp)
+        idx += right_wins
         idx += np.arange(0, n * c * h * w, h * w).reshape(n, c, 1, 1)
         idx += np.arange(0, oh * 2 * w, 2 * w)[:, None]
         idx += np.arange(0, ow * 2, 2)
         dx = np.zeros((n, c, h, w), dtype=np.float64)
         dx.reshape(-1)[idx] = g
         return (dx,)
-    return _node(out, (x,), backward)
+    return _node(out, (x,), backward, kernel)
+
+
+class Tape:
+    """A graph built once and recomputed in place by rerunning its kernels.
+
+    ``Tape(build)`` calls ``build()`` with capture on and keeps the
+    tensor it returns, which must be the last node it built, as
+    ``output``. ``replay()`` reruns the kernel of every node built
+    meanwhile, pruned constant nodes too, in creation order, and returns
+    ``output`` holding what a new ``build()`` would compute from the
+    current contents of the graph's input arrays and parameters. The
+    caller writes new inputs into the data arrays of the input tensors
+    that ``build`` used, in place, and validates them as an op would: a
+    replay runs no op's checks. Captures do not nest and, like
+    ``no_grad``, are process-wide, not per thread.
+    """
+
+    __slots__ = ("output", "_kernels")
+
+    def __init__(self, build: Callable[[], Tensor]):
+        global _recording
+        if _recording is not None:
+            raise CaptureError("a capture is already active")
+        recorded = _recording = []
+        try:
+            output = build()
+        finally:
+            _recording = None
+        if not recorded or recorded[-1][1] is not output.data:
+            raise CaptureError("a captured build must return the last node it built")
+        self.output = output
+        self._kernels = tuple(kernel for kernel, _ in recorded)
+
+    def replay(self) -> Tensor:
+        for kernel in self._kernels:
+            kernel()
+        return self.output
 
 
 # Adam's moment decay rates and the denominator's guard

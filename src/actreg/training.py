@@ -6,6 +6,15 @@ derived from the run seed, so two runs with the same inputs produce
 identical records except for wall-clock duration. Early stopping
 watches the objective on a held-out slice of the training split and
 gives up after ``patience`` epochs without strict improvement.
+
+Each training step's graph is built once and replayed. The first batch
+of an epoch, and a batch of a new size (the epoch's partial last one),
+builds the step's graph as ``_batch_objective`` always has, over input
+and label buffers a ``_StepTape`` owns. Every other batch is copied
+into those buffers and the recorded forward kernels rerun into the same
+arrays; ``backward()`` then walks the same graph. A replayed step gives
+the parameters a rebuilt one would, bit for bit. One tape is alive at a
+time, and none during validation and testing.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .objective import (_eval_batches, activation_energy,
 from .power import check_poll_hz, energy_per_correct, integrate, live_source
 from .records import ExperimentRecord, plain_int, plain_number
 from .rng import split_streams
-from .tensor import Adam, no_grad, softmax_cross_entropy
+from .tensor import Adam, Tape, Tensor, no_grad, softmax_cross_entropy
 
 
 @dataclass(frozen=True)
@@ -101,6 +110,31 @@ def _batch_objective(model: Model, xb: np.ndarray, yb: np.ndarray, lam: float):
     return regularized_loss(ce, energy, lam)
 
 
+class _StepTape:
+    """One training step captured over input and label buffers it owns.
+
+    Built from the rows ``idx`` of float64 ``fit_x`` and of ``fit_y``,
+    whose features and labels ``train()`` and ``DatasetHandle`` checked,
+    so a replay takes rows from them without checking again.
+    ``replay(idx)`` takes as many rows into the same buffers and returns
+    ``tape.output``, the step's loss, recomputed.
+    """
+
+    def __init__(self, model: Model, fit_x: np.ndarray, fit_y: np.ndarray,
+                 idx: np.ndarray, lam: float):
+        self._fit_x, self._fit_y = fit_x, fit_y
+        self.x = Tensor(fit_x[idx])
+        self.y = fit_y[idx]
+        self.tape = Tape(lambda: _batch_objective(model, self.x, self.y, lam))
+
+    def replay(self, idx: np.ndarray):
+        # the rows exist, so "clip" never clips; unlike "raise" it writes
+        # straight into ``out`` without a buffer
+        self._fit_x.take(idx, axis=0, out=self.x.data, mode="clip")
+        self._fit_y.take(idx, out=self.y, mode="clip")
+        return self.tape.replay()
+
+
 def _eval_objective(model: Model, x: np.ndarray, y: np.ndarray, lam: float) -> float:
     """Mean objective over a dataset, weighted exactly by batch sizes;
     raises ValidationError and NonFiniteError as ``evaluate`` does."""
@@ -161,7 +195,9 @@ def train(config: RunConfig, data: DatasetHandle) -> tuple[Model, ExperimentReco
     val_idx, fit_idx = perm[:n_val], perm[n_val:]
     if fit_idx.size == 0:
         raise ValidationError("validation split leaves no training data")
-    fit_x, fit_y = data.train_x[fit_idx], data.train_y[fit_idx]
+    # float64, as Tensor() makes every batch: a replay copies rows in place
+    fit_x = np.asarray(data.train_x[fit_idx], dtype=np.float64)
+    fit_y = data.train_y[fit_idx]
     val_x, val_y = data.train_x[val_idx], data.train_y[val_idx]
 
     session = live_source(config.telemetry_command, config.telemetry_hz)
@@ -181,18 +217,23 @@ def train(config: RunConfig, data: DatasetHandle) -> tuple[Model, ExperimentReco
                 if session:
                     session.set_phase("training")
                 order = shuffle_rng.permutation(fit_x.shape[0])
+                step = None
                 for start in range(0, order.size, config.batch_size):
                     idx = order[start:start + config.batch_size]
-                    loss = _batch_objective(model, fit_x[idx], fit_y[idx],
-                                            config.lam)
+                    if step is not None and idx.size == step.y.size:
+                        loss = step.replay(idx)
+                    else:
+                        step = loss = None  # the old graph goes first
+                        step = _StepTape(model, fit_x, fit_y, idx, config.lam)
+                        loss = step.tape.output
                     if not np.isfinite(loss.data):
                         raise NonFiniteError("training loss diverged")
                     optimizer.zero_grad()
                     loss.backward()
                     optimizer.step()
-                    # the graph holds every activation and the conv columns;
-                    # freed here, it is not alive through validation and testing
-                    del loss
+                # the graph holds every activation and the conv columns;
+                # freed here, it is not alive through validation and testing
+                step = loss = None
                 epochs_run = epoch + 1
                 if val_x.shape[0] == 0:
                     continue

@@ -143,6 +143,17 @@ def test_load_records_skips_malformed(tmp_path):
     assert any("incomplete.json" in msg for msg in issues)
 
 
+def test_a_file_that_is_not_utf8_is_skipped_and_named(tmp_path):
+    save_record(_record(seed=1), tmp_path)
+    text = json.dumps({**_record().to_json_dict(), "architecture": "mlp@"})
+    (tmp_path / "x.json").write_bytes(text.encode().replace(b"@", b"\xff"))
+    records, issues = load_records(tmp_path)
+    assert [r.seed for r in records] == [1]
+    assert len(issues) == 1 and "x.json" in issues[0] and "UTF-8" in issues[0]
+    with pytest.raises(ParseError, match="x.json"):
+        load_record(tmp_path / "x.json")
+
+
 @pytest.mark.parametrize("key, value", [("test_accuracy", float("nan")),
                                         ("lambda", float("inf")),
                                         ("power_w", float("-inf")),

@@ -322,6 +322,20 @@ def test_bootstrap_interval_is_the_central_95_percent():
                                     np.percentile(means, 97.5))
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 31, 100, 128, 129, 300, 1000, 4097])
+def test_bootstrap_blocks_equal_the_one_shot_resample_matrix(n):
+    # the means are gathered a block of resamples at a time; each must
+    # equal its row of the whole resamples-by-n matrix, bit for bit
+    gen = make_generator(n)
+    for data in (gen.normal(size=n), gen.lognormal(sigma=2.0, size=n) * 1e6):
+        for seed in (0, 1):
+            ci = bootstrap_ci(data, rng=make_generator(seed))
+            idx = make_generator(seed).integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
+            means = data[idx].mean(axis=1)
+            assert (ci.lower, ci.upper) == (np.percentile(means, 2.5),
+                                            np.percentile(means, 97.5))
+
+
 # ---------------------------------------------------------------- wilcoxon
 
 def test_wilcoxon_all_positive_small_n():

@@ -7,13 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from actreg.errors import NonFiniteError, ShapeError, ValidationError
+from actreg.errors import (CaptureError, NonFiniteError, ShapeError,
+                           ValidationError)
 from actreg.models import ModelSpec, build_model, forward_traced
 from actreg.objective import activation_energy, regularized_loss
 from actreg.rng import make_generator
-from actreg.tensor import (Adam, Tensor, concat, conv2d, grad_check, linear,
-                           max_pool2, no_grad, relu, sigmoid, softmax,
-                           softmax_cross_entropy, tanh)
+from actreg.tensor import (Adam, Tape, Tensor, _node, concat, conv2d,
+                           grad_check, linear, max_pool2, no_grad, relu,
+                           sigmoid, softmax, softmax_cross_entropy, tanh)
 
 
 def _leaf(data):
@@ -696,6 +697,72 @@ def test_op_gradients_match_finite_differences(name):
     loss_fn, params = GRAD_CASES[name](gen)
     err = grad_check(loss_fn, params, rng=make_generator(0))
     assert err < 1e-6, f"{name}: worst relative error {err:.3e}"
+
+
+# --------------------------------------------------------- capture, replay
+
+def _run(loss_fn, params):
+    for p in params:
+        p.grad = None
+    loss = loss_fn()
+    loss.backward()
+    return [loss.data.copy()] + [p.grad.copy() for p in params]
+
+
+@pytest.mark.parametrize("name", sorted(GRAD_CASES))
+def test_replay_equals_a_rebuild_bit_for_bit(name):
+    # every op's kernel reruns into its own arrays: after the leaves
+    # change in place, the replayed graph's value and gradients are
+    # those of a graph built anew
+    gen = make_generator(17)
+    loss_fn, params = GRAD_CASES[name](gen)
+    tape = Tape(loss_fn)
+    for _ in range(2):
+        for p in params:
+            p.data[...] = gen.normal(size=p.shape)
+        got = _run(tape.replay, params)
+        want = _run(loss_fn, params)
+        assert tape.replay() is tape.output
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), name
+
+
+def test_replay_reruns_constant_subgraphs_that_read_the_inputs():
+    # relu(x) of a data input is pruned from the graph, yet feeds it
+    x = Tensor(np.array([[1.0, -2.0]]))
+    w = _leaf([[1.0], [1.0]])
+    tape = Tape(lambda: linear(relu(x), w, Tensor(np.zeros(1))).sum())
+    x.data[...] = [[-3.0, 4.0]]
+    assert tape.replay().item() == 4.0
+
+
+def test_an_op_without_a_kernel_cannot_be_captured():
+    x = _leaf([1.0, 2.0])
+
+    def doubled():
+        return _node(x.data * 2.0, (x,), lambda g: (g * 2.0,))
+    with pytest.raises(CaptureError, match="forward kernel"):
+        Tape(lambda: doubled().sum())
+    # outside a capture it is an ordinary op, and capture is off again
+    doubled().sum().backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+    Tape(lambda: (x * 3.0).sum())
+
+
+def test_a_reshape_that_copies_cannot_be_captured():
+    # a view follows its parent's reruns; a copy would go stale
+    x = _leaf(np.ones((3, 2)).T)
+    with pytest.raises(CaptureError, match="copies"):
+        Tape(lambda: x.reshape((6,)).sum())
+    assert x.reshape((6,)).shape == (6,)
+
+
+def test_captures_do_not_nest_and_must_end_at_the_output():
+    x = _leaf([1.0])
+    with pytest.raises(CaptureError, match="already active"):
+        Tape(lambda: Tape(lambda: x * 2.0).output)
+    with pytest.raises(CaptureError, match="last node"):
+        Tape(lambda: [x * 2.0, x * 3.0][0])
 
 
 # ------------------------------------------------------------------- adam

@@ -6,10 +6,15 @@ benchmark run; here it fails as soon as the tracer installs.
 """
 
 import importlib.util
+import math
 import types
 from pathlib import Path
 
+import pytest
+
 import actreg
+from actreg.models import ModelSpec
+from actreg.training import RunConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -43,3 +48,31 @@ def test_install_wraps_and_uninstall_restores_every_call_site():
     after = _snapshot(owners)
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+@pytest.mark.parametrize("arch", ["mlp", "bimodal", "physics", "cnn"])
+def test_replayed_steps_stay_visible_to_the_tracer(arch):
+    # a replay calls no wrapped forward, but each step's backward and
+    # Adam update still go through the wrapped methods
+    data = actreg.synth_blobs(3, 16, 20, 3.0, 7)
+    spec = ModelSpec(arch, 16, 6, 3, glia_ratio=1.0 if arch == "bimodal" else None,
+                     conv_channels=(2, 3), dense_dim=8)
+    config = RunConfig(model=spec, batch_size=8, max_epochs=2, patience=2, seed=1)
+    tracer = _tracer()
+    tracer.install()
+    try:
+        _, record = actreg.training.train(config, data)
+    finally:
+        tracer.uninstall()
+    n = data.train_x.shape[0]
+    n_fit = n - round(config.val_fraction * n)
+    batches = math.ceil(n_fit / config.batch_size)
+    # one capture per epoch, and one more for a partial last batch
+    captures = 1 + (batches > 1 and n_fit % config.batch_size > 0)
+    assert record.status == "ok" and record.epochs_run == 2 and batches > 2
+    names, parents = tracer.name, tracer.parent
+    (train_span,) = [i for i, name in enumerate(names) if name == "training.train"]
+    assert names.count("tensor.backward") == names.count("tensor.adam") == 2 * batches
+    forwards = [i for i, name in enumerate(names)
+                if name == "models.forward" and parents[i] == train_span]
+    assert len(forwards) == 2 * captures

@@ -12,9 +12,9 @@ from actreg.objective import (EVAL_ROWS, activation_energy,
                               dataset_activation_energy, regularized_loss)
 from actreg.power import PowerSample, energy_per_correct, live_source
 from actreg.records import load_record, save_record
-from actreg.rng import make_generator
+from actreg.rng import make_generator, split_streams
 from actreg.sweep import DEFAULT_SEEDS, run_lambda_sweep
-from actreg.tensor import softmax_cross_entropy
+from actreg.tensor import Adam, softmax_cross_entropy
 from actreg.training import (RunConfig, _batch_objective, _eval_objective,
                              evaluate, hardware_descriptor, train)
 
@@ -113,6 +113,15 @@ def test_overflow_behind_saturation_still_diverges(arch):
     _, rec = train(_config(model=spec), huge)
     assert rec.status == "diverged"
     assert rec.test_accuracy is None
+
+
+def test_float32_features_train_as_their_float64_values_do():
+    # a replay copies rows into a float64 buffer, as Tensor() converts them
+    single = dataclasses.replace(DATA, train_x=DATA.train_x.astype(np.float32),
+                                 test_x=DATA.test_x.astype(np.float32))
+    double = dataclasses.replace(single, train_x=single.train_x.astype(np.float64),
+                                 test_x=single.test_x.astype(np.float64))
+    assert _stable(train(_config(), single)[1]) == _stable(train(_config(), double)[1])
 
 
 def test_non_finite_test_split_is_reported_as_diverged():
@@ -464,3 +473,45 @@ def test_loss_graph_has_one_node_per_layer(spec, nodes):
                 seen.add(id(parent))
                 stack.append(parent)
     assert len(seen) == nodes
+
+
+ZOO = [ModelSpec("mlp", 16, 12, 3), ModelSpec("bimodal", 16, 12, 3, glia_ratio=1.0),
+       ModelSpec("physics", 16, 12, 3), ModelSpec("cnn", 16, 12, 3)]
+DATA16 = synth_blobs(classes=3, dim=16, n_per_class=40, separation=3.0, seed=7)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-2])
+@pytest.mark.parametrize("spec", ZOO, ids=lambda s: s.arch)
+def test_replayed_steps_train_as_rebuilt_steps_do(spec, lam, monkeypatch):
+    # train() captures a step and replays it; a reference loop over the
+    # same seed streams builds a new graph on every step
+    import actreg.training
+    optimizers = []
+
+    class Recorded(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+    monkeypatch.setattr(actreg.training, "Adam", Recorded)
+    config = _config(model=spec, lam=lam, max_epochs=2, batch_size=16)
+    _, record = train(config, DATA16)
+    assert record.status == "ok" and record.epochs_run == 2
+
+    init_rng, split_rng, shuffle_rng = split_streams(config.seed, 3)
+    model = build_model(spec, init_rng)
+    reference = Adam(model.parameters(), lr=config.lr,
+                     weight_decay=config.weight_decay)
+    n = DATA16.train_x.shape[0]
+    fit = split_rng.permutation(n)[int(round(config.val_fraction * n)):]
+    fit_x, fit_y = DATA16.train_x[fit], DATA16.train_y[fit]
+    bs = config.batch_size
+    assert fit.size > 2 * bs and fit.size % bs  # replays and a partial batch
+    for _ in range(2):
+        order = shuffle_rng.permutation(fit.size)
+        for start in range(0, fit.size, bs):
+            idx = order[start:start + bs]
+            loss = _batch_objective(model, fit_x[idx], fit_y[idx], lam)
+            reference.zero_grad()
+            loss.backward()
+            reference.step()
+    assert optimizers[0].flat.tobytes() == reference.flat.tobytes()
