@@ -156,7 +156,9 @@ def record_from_dict(raw: dict[str, Any]) -> ExperimentRecord:
 
 
 def validate_record(record: ExperimentRecord) -> None:
-    """Raise ValidationError on what loading refuses: see ``_split``."""
+    """Raise ValidationError on what loading refuses of the top-level
+    fields: see ``_split``. ``save_record`` also refuses a NaN or an
+    infinity nested in ``extra``."""
     try:
         _split(record.to_json_dict())
     except ParseError as exc:
@@ -186,7 +188,7 @@ def save_record(record: ExperimentRecord, directory) -> Path:
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(record.to_json_dict(), fh, indent=2, sort_keys=True)
+            _dump(record.to_json_dict(), fh)
             fh.write("\n")
         os.replace(tmp, final)
     except BaseException:
@@ -196,34 +198,78 @@ def save_record(record: ExperimentRecord, directory) -> Path:
     return final
 
 
+def _nonstandard_key(stored: dict[str, Any]) -> str | None:
+    """The first top-level key whose value standard JSON cannot hold, such
+    as a NaN anywhere inside it; None when every value is standard."""
+    for key, value in stored.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            return key
+    return None
+
+
+def _dump(stored: dict[str, Any], fh) -> None:
+    """Write ``stored`` as standard JSON, or raise ValidationError naming
+    the top-level key of a value it cannot hold."""
+    try:
+        json.dump(stored, fh, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        key = _nonstandard_key(stored)
+        if key is None:
+            raise
+        raise ValidationError(f"record field {key!r} is not standard JSON: "
+                              f"{exc}") from None
+
+
 def load_record(path) -> ExperimentRecord:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    if "\r" in text:
+        # as a text-mode read does, so a parse error names the same place
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return record_from_dict(raw)
+        raw = json.loads(text)
+        record = record_from_dict(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    # json reads NaN, Infinity and -Infinity, which are not standard JSON.
+    # record_from_dict refuses them at the top level; this finds them
+    # nested, and only a text holding one of those words can hold one.
+    if "NaN" in text or "Infinity" in text:
+        key = _nonstandard_key(raw)
+        if key is not None:
+            raise ParseError(f"{path}: field {key!r} holds a NaN or an "
+                             f"infinity, which is not standard JSON")
+    return record
 
 
 def load_records(directory) -> tuple[list[ExperimentRecord], list[str]]:
     """Load every .json record under a directory.
 
-    Malformed files are skipped; the second element lists one message
-    per skipped file so callers can surface them.
+    Every entry whose name ends in ``.json`` is read, in name order,
+    hidden names included. Malformed files are skipped; the second
+    element lists one message per skipped file so callers can surface
+    them.
     """
     d = Path(directory)
     if not d.is_dir():
         raise ValidationError(f"{directory} is not a directory")
+    with os.scandir(d) as entries:
+        names = sorted(e.name for e in entries if e.name.endswith(".json"))
+    # str(d / name) for every name, the path an issue names, with one Path
+    # built rather than one a file: a name is one component, never . or ..
+    prefix = str(d / "_")[:-1]
     records: list[ExperimentRecord] = []
     issues: list[str] = []
-    for path in sorted(d.glob("*.json"), key=str):
+    for name in names:
         try:
-            records.append(load_record(path))
+            records.append(load_record(prefix + name))
         except (ParseError, OSError) as exc:
             issues.append(str(exc))
     return records, issues

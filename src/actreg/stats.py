@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
+from .records import plain_int
 from .rng import Seed, make_generator
 
 # Tukey's family-wise error rate, and the bootstrap's resample count
@@ -29,6 +31,9 @@ BOOTSTRAP_RESAMPLES = 1000
 BOOTSTRAP_LEVEL = 95.0
 # resamples gathered at once: 128 rows of a 300-value sample are 300 KB
 _BOOTSTRAP_BLOCK = 128
+# {(int seed, n): resample index matrix} of the last int-seeded draw
+# inside a _shared_draws() block, else None; set only by _shared_draws
+_draws: dict[tuple[int, int], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -307,6 +312,41 @@ def tukey_hsd(groups: Mapping[str, Sequence[float]]) -> list[TukeyPair]:
             for (na, nb), diff, q, p in zip(pairs, diffs, qs, ps)]
 
 
+@contextmanager
+def _shared_draws() -> Iterator[None]:
+    """Inside the block, successive ``bootstrap_ci`` calls with the same
+    int seed and sample size share one resample index matrix.
+
+    An int seed always draws the same matrix for a given size, so sharing
+    it changes no interval. One matrix is held at a time, released before
+    a call with another seed or size draws its own, so the block never
+    holds more than one call did without it. A Generator still draws
+    afresh on every call, consuming its stream. The matrix is dropped on
+    exit, and the previous state returns. The switch is process-wide,
+    not per thread.
+    """
+    global _draws
+    previous = _draws
+    _draws = {}
+    try:
+        yield
+    finally:
+        _draws = previous
+
+
+def _resample_indices(rng: Seed, n: int) -> np.ndarray:
+    """BOOTSTRAP_RESAMPLES rows of ``n`` indices drawn with replacement."""
+    if _draws is None or isinstance(rng, np.random.Generator):
+        return make_generator(rng).integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
+    key = (plain_int("seed", rng, 0), n)
+    idx = _draws.get(key)
+    if idx is None:
+        _draws.clear()
+        idx = _draws[key] = make_generator(key[0]).integers(
+            0, n, size=(BOOTSTRAP_RESAMPLES, n))
+    return idx
+
+
 def bootstrap_ci(data: Sequence[float], *, rng: Seed) -> BootstrapCI:
     """Percentile bootstrap confidence interval for the mean.
 
@@ -316,8 +356,7 @@ def bootstrap_ci(data: Sequence[float], *, rng: Seed) -> BootstrapCI:
     supplies the seed, so identical inputs give identical intervals.
     """
     arr = _sample(data, "data")
-    gen = make_generator(rng)
-    idx = gen.integers(0, arr.size, size=(BOOTSTRAP_RESAMPLES, arr.size))
+    idx = _resample_indices(rng, arr.size)
     # gathered a block of resamples at a time: each row's mean is the
     # same, and no resamples-by-n float array is made
     means = np.empty(BOOTSTRAP_RESAMPLES)

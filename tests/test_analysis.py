@@ -2,11 +2,13 @@
 
 import pytest
 
+from actreg import stats
 from actreg.analysis import RESPONSES, Table, analyze_records, parameter_count_table
 from actreg.errors import ValidationError
 from actreg.models import ModelSpec, param_count_for
 from actreg.records import ExperimentRecord
 from actreg.rng import make_generator
+from actreg.stats import bootstrap_ci
 
 
 def _record(arch="mlp", dataset="synth", seed=0, accuracy=0.9, **overrides):
@@ -101,6 +103,24 @@ def test_summary_table_has_dispersion_columns():
     assert "cv_pct" in summary.headers
     assert "rank_variance" in summary.headers
     assert len(summary.rows) == 2
+
+
+@pytest.mark.parametrize("sizes", [(12, 12, 12), (12, 12, 7, 12), (12, 7, 12, 30)])
+def test_summary_intervals_equal_standalone_bootstraps(sizes):
+    # successive architectures of equal size share one resample draw; each
+    # interval still equals the one a lone bootstrap_ci(values, rng=0) gives
+    gen = make_generator(5)
+    archs = ["bimodal", "cnn", "mlp", "physics"][:len(sizes)]
+    records = [_record(arch, "synth", seed, float(gen.uniform(0.5, 0.9)))
+               for arch, n in zip(archs, sizes) for seed in range(n)]
+    summary = next(t for t in analyze_records(records) if "summary" in t.title)
+    assert [row[0] for row in summary.rows] == archs
+    for arch, n, _, lower, upper, _, _ in summary.rows:
+        ci = bootstrap_ci([r.test_accuracy for r in records if r.architecture == arch],
+                          rng=0)
+        assert n == sizes[archs.index(arch)]
+        assert (lower.hex(), upper.hex()) == (ci.lower.hex(), ci.upper.hex())
+    assert stats._draws is None
 
 
 def test_table_rendering_and_csv():

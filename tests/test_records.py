@@ -131,6 +131,18 @@ def test_save_refuses_non_finite_hyperparameters(attr, key, value, tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("history", [{"loss": [float("nan"), 1.0]},
+                                     [1.0, float("inf")],
+                                     {"a": {"b": float("-inf")}}])
+def test_save_refuses_a_non_finite_value_nested_in_extra(history, tmp_path):
+    # json would write it as NaN or Infinity, which a strict parser refuses
+    with pytest.raises(ValidationError, match="'history' is not standard JSON"):
+        save_record(_record(extra={"history": history}), tmp_path)
+    assert os.listdir(tmp_path) == []
+    path = save_record(_record(extra={"history": {"loss": [0.5, 1.0]}}), tmp_path)
+    assert load_record(path).extra == {"history": {"loss": [0.5, 1.0]}}
+
+
 def test_load_records_skips_malformed(tmp_path):
     save_record(_record(seed=1), tmp_path)
     save_record(_record(seed=2), tmp_path)
@@ -157,7 +169,9 @@ def test_a_file_that_is_not_utf8_is_skipped_and_named(tmp_path):
 @pytest.mark.parametrize("key, value", [("test_accuracy", float("nan")),
                                         ("lambda", float("inf")),
                                         ("power_w", float("-inf")),
-                                        ("status", "exploded")])
+                                        ("status", "exploded"),
+                                        ("history", {"loss": [float("nan"), 1.0]}),
+                                        ("activations", ["relu", float("inf")])])
 def test_load_refuses_what_save_refuses(key, value, tmp_path):
     save_record(_record(seed=1), tmp_path)
     # json writes NaN and Infinity, which save_record itself never does
@@ -167,6 +181,46 @@ def test_load_refuses_what_save_refuses(key, value, tmp_path):
     assert [r.seed for r in records] == [1]
     assert len(issues) == 1 and "bad.json" in issues[0]
     assert repr(key) in issues[0]
+
+
+def _mixed_directory(d):
+    """Entries a records directory may hold besides records."""
+    rec = {"architecture": "mlp", "dataset": "synth", "seed": 1, "test_accuracy": 0.5}
+    (d / "a.json").write_text(json.dumps(rec, indent=2))
+    (d / ".hidden.json").write_text(json.dumps({**rec, "seed": 2}))
+    (d / "Z.json").write_text(json.dumps({**rec, "seed": 3}))
+    (d / "B.JSON").write_text(json.dumps({**rec, "seed": 4}))
+    (d / "notes.txt").write_text(json.dumps({**rec, "seed": 5}))
+    (d / "d.json").mkdir()
+    (d / "latin1.json").write_bytes(
+        json.dumps({**rec, "dataset": "café"}, ensure_ascii=False).encode("latin-1"))
+    (d / "bom.json").write_bytes(b"\xef\xbb\xbf" + json.dumps({**rec, "seed": 6}).encode())
+    crlf = json.dumps({**rec, "seed": 7}, indent=2).replace("\n", "\r\n").encode()
+    (d / "crlf.json").write_bytes(crlf)
+    (d / "crlf_cut.json").write_bytes(crlf.replace(b"7", b"8")[:-3])
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_load_records_reads_a_mixed_directory_by_the_glob_rules(relative, tmp_path,
+                                                              monkeypatch):
+    # names ending in .json, hidden ones too, case-sensitive, in path order;
+    # a directory or an unreadable file is an issue naming its path, and a
+    # CRLF file's parse error names the place a text-mode read would
+    _mixed_directory(tmp_path)
+    if relative:
+        monkeypatch.chdir(tmp_path)
+    where = "." if relative else str(tmp_path)
+    prefix = "" if relative else f"{tmp_path}/"
+    records, issues = load_records(where)
+    assert [r.seed for r in records] == [2, 3, 1, 7]
+    assert issues == [
+        f"{prefix}bom.json: invalid JSON: Unexpected UTF-8 BOM (decode using "
+        f"utf-8-sig): line 1 column 1 (char 0)",
+        f"{prefix}crlf_cut.json: invalid JSON: Expecting ',' delimiter: "
+        f"line 5 column 23 (char 84)",
+        f"[Errno 21] Is a directory: '{prefix}d.json'",
+        f"{prefix}latin1.json: not UTF-8 text: 'utf-8' codec can't decode byte "
+        f"0xe9 in position 39: invalid continuation byte"]
 
 
 def test_load_records_requires_directory(tmp_path):

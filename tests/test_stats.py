@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from actreg import stats
 from actreg.errors import ValidationError
 from actreg.rng import make_generator
 from actreg.stats import (BOOTSTRAP_LEVEL, BOOTSTRAP_RESAMPLES,
@@ -334,6 +335,49 @@ def test_bootstrap_blocks_equal_the_one_shot_resample_matrix(n):
             means = data[idx].mean(axis=1)
             assert (ci.lower, ci.upper) == (np.percentile(means, 2.5),
                                             np.percentile(means, 97.5))
+
+
+def test_shared_draws_reuse_the_matrix_of_successive_equal_calls():
+    data = make_generator(4).normal(size=40)
+    calls = ((40, 0), (40, 0), (30, 0), (40, 1), (40, 0))
+    alone = [bootstrap_ci(data[:n], rng=seed) for n, seed in calls]
+    with stats._shared_draws():
+        shared = [bootstrap_ci(data[:n], rng=seed) for n, seed in calls]
+        first = stats._resample_indices(0, 40)
+        assert stats._resample_indices(0, 40) is first
+        # one matrix is held at a time: another seed or size replaces it
+        stats._resample_indices(1, 40)
+        assert list(stats._draws) == [(1, 40)]
+        with pytest.raises(ValidationError, match="seed"):
+            bootstrap_ci(data, rng=-1)
+    assert shared == alone
+    assert stats._draws is None
+
+
+def test_a_generator_draws_afresh_inside_shared_draws():
+    # one new draw per call, consuming the stream as outside the scope
+    data = make_generator(4).normal(size=40)
+    outside, inside = make_generator(9), make_generator(9)
+    expected = [bootstrap_ci(data, rng=outside) for _ in range(2)]
+    with stats._shared_draws():
+        got = [bootstrap_ci(data, rng=inside) for _ in range(2)]
+        assert stats._draws == {}
+    assert got == expected and expected[0] != expected[1]
+    assert inside.integers(1 << 62) == outside.integers(1 << 62)
+
+
+def test_shared_draws_hold_nothing_after_exit_or_an_error():
+    with stats._shared_draws():
+        outer = stats._draws
+        with stats._shared_draws():
+            bootstrap_ci([1.0, 2.0, 4.0], rng=0)
+        assert stats._draws is outer and outer == {}
+    assert stats._draws is None
+    with pytest.raises(RuntimeError):
+        with stats._shared_draws():
+            bootstrap_ci([1.0, 2.0, 4.0], rng=0)
+            raise RuntimeError
+    assert stats._draws is None
 
 
 # ---------------------------------------------------------------- wilcoxon

@@ -76,3 +76,17 @@ def test_replayed_steps_stay_visible_to_the_tracer(arch):
     forwards = [i for i, name in enumerate(names)
                 if name == "models.forward" and parents[i] == train_span]
     assert len(forwards) == 2 * captures
+
+
+def test_one_bootstrap_span_per_architecture_under_shared_draws():
+    # stats.bootstrap_ms stays fed: analysis still calls bootstrap_ci by
+    # name once per architecture, although equal sizes share one draw
+    records = [actreg.ExperimentRecord(arch, "synth", seed, 0.5 + 0.01 * seed)
+               for arch in ("bimodal", "mlp", "physics") for seed in range(6)]
+    tracer = _tracer()
+    tracer.install()
+    try:
+        actreg.analysis.analyze_records(records)
+    finally:
+        tracer.uninstall()
+    assert tracer.name.count("stats.bootstrap") == 3
