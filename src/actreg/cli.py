@@ -178,19 +178,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_list(kind, raw: str) -> list:
+def _parse_list(flag: str, kind, raw: str) -> list:
     try:
-        return [kind(p) for p in raw.split(",") if p.strip()]
+        values = [kind(p) for p in raw.split(",") if p.strip()]
     except ValueError as exc:
-        raise ValidationError(f"bad {kind.__name__} list {raw!r}: {exc}") from None
+        raise ValidationError(f"{flag}: bad {kind.__name__} list {raw!r}: "
+                              f"{exc}") from None
+    if not values:
+        raise ValidationError(f"{flag} must list at least one value, got {raw!r}")
+    return values
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     s = _resolve_settings(args, _SWEEP_KEYS)
     data = _make_dataset(s)
     template = _make_spec(s, data)
-    lambdas = _parse_list(float, args.lambdas) if args.lambdas else DEFAULT_LAMBDAS
-    seeds = _parse_list(int, args.seeds) if args.seeds else DEFAULT_SEEDS
+    # only an unset flag takes the default; an empty one is refused
+    lambdas = (DEFAULT_LAMBDAS if args.lambdas is None
+               else _parse_list("--lambdas", float, args.lambdas))
+    seeds = (DEFAULT_SEEDS if args.seeds is None
+             else _parse_list("--seeds", int, args.seeds))
     report = run_lambda_sweep(
         data, template, lambdas, seeds, lr=s["lr"],
         batch_size=s["batch_size"], epochs=args.epochs,

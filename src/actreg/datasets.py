@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .records import plain_int
+from .records import plain_int, plain_number
 from .rng import Seed, make_generator
 
 
@@ -160,9 +160,7 @@ def synth_blobs(classes: int, dim: int, n_per_class: int, separation: float,
     classes = plain_int("classes", classes, 2)
     dim = plain_int("dim", dim, 1)
     n_per_class = plain_int("n_per_class", n_per_class, 2)
-    if not (np.isfinite(separation) and separation >= 0):
-        raise ValidationError(f"separation must be finite and >= 0, "
-                              f"got {separation}")
+    separation = plain_number("separation", separation, 0)
     gen = make_generator(seed)
     centers = gen.normal(size=(classes, dim)) * (separation / np.sqrt(2.0))
     labels = np.repeat(np.arange(classes, dtype=np.int64), n_per_class)

@@ -67,11 +67,8 @@ class ModelSpec:
         if self.arch == "bimodal":
             if self.glia_ratio is None:
                 raise ValidationError("bimodal requires glia_ratio")
-            object.__setattr__(self, "glia_ratio",
-                               plain_number("glia_ratio", self.glia_ratio))
-            if not (self.glia_ratio > 0 and math.isfinite(self.glia_ratio)):
-                raise ValidationError(f"glia_ratio must be positive and finite, "
-                                      f"got {self.glia_ratio}")
+            object.__setattr__(self, "glia_ratio", plain_number(
+                "glia_ratio", self.glia_ratio, 0, strict=True))
             if self.glia_dim < 1:
                 raise ValidationError(f"glia_ratio {self.glia_ratio} gives an "
                                       f"empty glial path at hidden_dim "

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import NonFiniteError, ValidationError
 from .models import Model, ForwardTrace, forward_traced
+from .records import plain_number
 from .tensor import Tensor, _node, no_grad
 
 
@@ -52,9 +53,7 @@ def regularized_loss(ce, energy, lam: float):
     for bit, so an unregularized run is the lam=0 special case rather
     than a separate code path.
     """
-    if not (isinstance(lam, (int, float)) and np.isfinite(lam) and lam >= 0):
-        raise ValidationError(f"lam must be a finite nonnegative real, got {lam!r}")
-    return ce + float(lam) * energy
+    return ce + float(plain_number("lam", lam, 0)) * energy
 
 
 # rows per forward pass of every whole-split evaluation

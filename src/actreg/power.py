@@ -135,8 +135,7 @@ def energy_per_correct(joules: float, n_correct: int) -> float | None:
     The undefined marker (None, serialized as null) keeps a zero-correct
     run distinguishable from a zero-energy one.
     """
-    if not (np.isfinite(joules) and joules >= 0):
-        raise ValidationError(f"joules must be finite and >= 0, got {joules}")
+    joules = plain_number("joules", joules, 0)
     n_correct = plain_int("n_correct", n_correct, 0)
     if n_correct == 0:
         return None
@@ -260,7 +259,7 @@ def _line_error(raw: str, last_t: float | None) -> str:
 
 def check_poll_hz(hz: float) -> None:
     """Raise ValidationError unless hz is a number, not a bool, in (0, 1000] Hz."""
-    if not 0 < plain_number("poll rate", hz) <= 1000:
+    if plain_number("poll rate", hz, 0, strict=True) > 1000:
         raise ValidationError(f"poll rate must be in (0, 1000] Hz, got {hz}")
 
 

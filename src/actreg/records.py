@@ -94,7 +94,8 @@ _REQUIRED = tuple(key for key, f in _STORED
 
 def _split(stored: dict[str, Any]) -> tuple[dict[str, Any], dict[str, Any]]:
     """Split stored fields into (attributes, extra), raising ParseError on a
-    wrong type, a non-finite top-level float or an unknown status."""
+    wrong type, a list holding a non-string, a non-finite float, a value
+    standard JSON cannot hold anywhere in ``extra``, or an unknown status."""
     known: dict[str, Any] = {}
     extra: dict[str, Any] = {}
     for key, value in stored.items():
@@ -104,26 +105,41 @@ def _split(stored: dict[str, Any]) -> tuple[dict[str, Any], dict[str, Any]]:
         elif not isinstance(value, entry[1]) or isinstance(value, bool):
             raise ParseError(f"field {key!r} has wrong type "
                              f"{type(value).__name__}")
+        elif type(value) is list and not all(type(v) is str for v in value):
+            raise ParseError(f"field {key!r} must hold only strings")
         else:
             known[entry[0]] = value
         # json would write NaN or Infinity, which are not standard JSON
         if isinstance(value, float) and not math.isfinite(value):
             raise ParseError(f"field {key!r} is non-finite")
+    # as deep as extra goes, where a parsed 1e999 is an infinity too
+    for key, value in extra.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except (ValueError, TypeError) as exc:
+            raise ParseError(f"field {key!r} is not standard JSON: {exc}") from None
     if known.get("status", "ok") not in ("ok", "diverged"):
         raise ParseError(f"field 'status' has unknown value {known['status']!r}")
     return known, extra
 
 
-def plain_number(name: str, value) -> int | float:
-    """``value`` as the Python int or float a record can store.
+def plain_number(name: str, value, least: float, *,
+                 strict: bool = False) -> int | float:
+    """``value`` as a finite Python int or float >= ``least``, or > it
+    when ``strict``.
 
-    A numpy integer or float becomes its Python equal. A bool, a string
-    or anything else raises ValidationError naming the setting.
+    A numpy integer or float becomes its Python equal. A bool, a string,
+    a NaN, an infinity or a smaller value raises ValidationError naming
+    the setting.
     """
-    if (not isinstance(value, (int, float, np.integer, np.floating))
-            or isinstance(value, bool)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    return value.item() if isinstance(value, np.generic) else value
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)):
+        number = value.item() if isinstance(value, np.generic) else value
+        if number < math.inf and (number > least
+                                  or number == least and not strict):
+            return number
+    raise ValidationError(f"{name} must be {'>' if strict else '>='} {least}, "
+                          f"got {value!r}")
 
 
 def plain_int(name: str, value, least: int) -> int:
@@ -156,9 +172,7 @@ def record_from_dict(raw: dict[str, Any]) -> ExperimentRecord:
 
 
 def validate_record(record: ExperimentRecord) -> None:
-    """Raise ValidationError on what loading refuses of the top-level
-    fields: see ``_split``. ``save_record`` also refuses a NaN or an
-    infinity nested in ``extra``."""
+    """Raise ValidationError on what loading refuses: see ``_split``."""
     try:
         _split(record.to_json_dict())
     except ParseError as exc:
@@ -188,7 +202,8 @@ def save_record(record: ExperimentRecord, directory) -> Path:
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            _dump(record.to_json_dict(), fh)
+            json.dump(record.to_json_dict(), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
         os.replace(tmp, final)
     except BaseException:
@@ -196,30 +211,6 @@ def save_record(record: ExperimentRecord, directory) -> Path:
             os.unlink(tmp)
         raise
     return final
-
-
-def _nonstandard_key(stored: dict[str, Any]) -> str | None:
-    """The first top-level key whose value standard JSON cannot hold, such
-    as a NaN anywhere inside it; None when every value is standard."""
-    for key, value in stored.items():
-        try:
-            json.dumps(value, allow_nan=False)
-        except ValueError:
-            return key
-    return None
-
-
-def _dump(stored: dict[str, Any], fh) -> None:
-    """Write ``stored`` as standard JSON, or raise ValidationError naming
-    the top-level key of a value it cannot hold."""
-    try:
-        json.dump(stored, fh, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        key = _nonstandard_key(stored)
-        if key is None:
-            raise
-        raise ValidationError(f"record field {key!r} is not standard JSON: "
-                              f"{exc}") from None
 
 
 def load_record(path) -> ExperimentRecord:
@@ -232,21 +223,11 @@ def load_record(path) -> ExperimentRecord:
         # as a text-mode read does, so a parse error names the same place
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        raw = json.loads(text)
-        record = record_from_dict(raw)
+        return record_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    # json reads NaN, Infinity and -Infinity, which are not standard JSON.
-    # record_from_dict refuses them at the top level; this finds them
-    # nested, and only a text holding one of those words can hold one.
-    if "NaN" in text or "Infinity" in text:
-        key = _nonstandard_key(raw)
-        if key is not None:
-            raise ParseError(f"{path}: field {key!r} holds a NaN or an "
-                             f"infinity, which is not standard JSON")
-    return record
 
 
 def load_records(directory) -> tuple[list[ExperimentRecord], list[str]]:

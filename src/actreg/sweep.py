@@ -22,7 +22,8 @@ from .analysis import Table
 from .datasets import DatasetHandle
 from .errors import ParseError, ValidationError
 from .models import ModelSpec
-from .records import ExperimentRecord, plain_int, record_from_dict
+from .records import (ExperimentRecord, plain_int, plain_number,
+                      record_from_dict, validate_record)
 from .training import RunConfig, train
 
 
@@ -93,10 +94,14 @@ class SweepReport:
 
 
 def save_sweep(report: SweepReport, path) -> Path:
+    """Write the report's cells as standard JSON, each checked as
+    ``save_record`` checks a record."""
+    for cell in report.cells:
+        validate_record(cell)
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n",
-                 encoding="utf-8")
+    p.write_text(json.dumps(report.to_json_dict(), indent=2, allow_nan=False)
+                 + "\n", encoding="utf-8")
     return p
 
 
@@ -134,7 +139,7 @@ def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
     ``failed``. A list passed as ``records`` receives the same records.
     """
     epochs = plain_int("epochs", epochs, 1)
-    lambdas = sorted(set(float(l) for l in lambdas))
+    lambdas = sorted(set(float(plain_number("lam", l, 0)) for l in lambdas))
     if 0.0 not in lambdas:
         raise ValidationError("the lambda grid must include 0 for the baseline")
     seeds = list(seeds)

@@ -548,12 +548,8 @@ class Adam:
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
                  weight_decay: float = 0.0):
-        self.lr = plain_number("lr", lr)
-        self.weight_decay = plain_number("weight_decay", weight_decay)
-        for name in ("lr", "weight_decay"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValidationError(f"{name} must be finite and >= 0, "
-                                      f"got {getattr(self, name)}")
+        self.lr = plain_number("lr", lr, 0)
+        self.weight_decay = plain_number("weight_decay", weight_decay, 0)
         self.params = list(params)
         if not self.params:
             raise ValidationError("Adam needs at least one parameter")

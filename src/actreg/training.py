@@ -60,18 +60,13 @@ class RunConfig:
                             ("patience", 1), ("seed", 0)):
             object.__setattr__(self, name, plain_int(name, getattr(self, name),
                                                      least))
-        for name in ("lr", "weight_decay", "lam", "val_fraction"):
-            object.__setattr__(self, name, plain_number(name, getattr(self, name)))
-        if self.lr <= 0 or not np.isfinite(self.lr):
-            raise ValidationError(f"lr must be positive, got {self.lr}")
+        object.__setattr__(self, "lr", plain_number("lr", self.lr, 0, strict=True))
+        for name in ("weight_decay", "lam", "val_fraction"):
+            object.__setattr__(self, name, plain_number(name, getattr(self, name), 0))
         if self.patience > self.max_epochs:
             raise ValidationError(f"patience must be in [1, max_epochs], "
                                   f"got {self.patience}")
-        if self.weight_decay < 0 or not np.isfinite(self.weight_decay):
-            raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.lam < 0 or not np.isfinite(self.lam):
-            raise ValidationError(f"lam must be >= 0, got {self.lam}")
-        if not (0.0 <= self.val_fraction < 1.0):
+        if self.val_fraction >= 1.0:
             raise ValidationError(f"val_fraction must be in [0, 1), "
                                   f"got {self.val_fraction}")
         check_poll_hz(self.telemetry_hz)

@@ -220,6 +220,20 @@ def test_glia_ratio_reaches_model_validation(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag", ["--lambdas", "--seeds"])
+@pytest.mark.parametrize("value", ["", ",", " "], ids=["empty", "comma", "blank"])
+def test_an_empty_sweep_list_is_refused_not_defaulted(flag, value, capsys,
+                                                      monkeypatch):
+    # an empty list used to run the default 5 x 10 grid
+    monkeypatch.setattr(cli, "run_lambda_sweep",
+                        lambda *args, **kw: pytest.fail("swept"))
+    argv = [*SMALL_SWEEP]
+    argv[argv.index(flag) + 1] = value
+    assert _run(*argv) == 1
+    assert (f"error: {flag} must list at least one value, got {value!r}"
+            in capsys.readouterr().err)
+
+
 def test_sweep_rejects_grid_without_zero(capsys):
     code = _run("sweep", "--classes", "3", "--feature-dim", "6",
                 "--per-class", "30", "--epochs", "1",

@@ -113,8 +113,10 @@ def test_save_leaves_no_temp_files_behind(tmp_path):
 
 
 def test_save_refuses_invalid_record(tmp_path):
-    with pytest.raises(ValidationError):
-        save_record(_record(status="weird"), tmp_path)
+    for invalid in (dict(status="weird"), dict(activations=[1, 2]),
+                    dict(activations=[{"k": None}])):
+        with pytest.raises(ValidationError):
+            save_record(_record(**invalid), tmp_path)
     assert os.listdir(tmp_path) == []
 
 
@@ -171,12 +173,19 @@ def test_a_file_that_is_not_utf8_is_skipped_and_named(tmp_path):
                                         ("power_w", float("-inf")),
                                         ("status", "exploded"),
                                         ("history", {"loss": [float("nan"), 1.0]}),
-                                        ("activations", ["relu", float("inf")])])
+                                        ("activations", ["relu", float("inf")]),
+                                        # bytes are the file's own text:
+                                        # json reads 1e999 as inf
+                                        ("history", b'{"loss": [1e999]}'),
+                                        ("activations", b"[1, 2]"),
+                                        ("activations", b'[{"k": null}]')])
 def test_load_refuses_what_save_refuses(key, value, tmp_path):
     save_record(_record(seed=1), tmp_path)
     # json writes NaN and Infinity, which save_record itself never does
-    (tmp_path / "bad.json").write_text(json.dumps({**_record().to_json_dict(),
-                                                   key: value}))
+    text = value.decode() if isinstance(value, bytes) else json.dumps(value)
+    stored = json.dumps({**_record().to_json_dict(), key: None})
+    (tmp_path / "bad.json").write_text(stored.replace(f'"{key}": null',
+                                                      f'"{key}": {text}'))
     records, issues = load_records(tmp_path)
     assert [r.seed for r in records] == [1]
     assert len(issues) == 1 and "bad.json" in issues[0]

@@ -1,7 +1,7 @@
 """Lambda sweeps: baseline identity, aggregation, persistence."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,8 +11,8 @@ from actreg.datasets import synth_blobs
 from actreg.errors import ParseError, ValidationError
 from actreg.models import ModelSpec
 from actreg.records import ExperimentRecord
-from actreg.sweep import (DEFAULT_LAMBDAS, load_sweep, run_lambda_sweep,
-                          save_sweep)
+from actreg.sweep import (DEFAULT_LAMBDAS, SweepReport, load_sweep,
+                          run_lambda_sweep, save_sweep)
 from actreg.training import RunConfig, train
 
 DATA = synth_blobs(classes=3, dim=6, n_per_class=30, separation=2.5, seed=3)
@@ -140,6 +140,23 @@ def test_save_load_round_trip(tmp_path):
     back = load_sweep(path)
     assert back == report
     assert back.rows == report.rows
+
+
+def test_sweep_files_hold_only_standard_json(tmp_path):
+    # save_sweep wrote NaN, and load_sweep read a nested 1e999 as inf
+    (cell,) = _sweep(lambdas=(0.0,), seeds=(42,)).cells
+    nan = tmp_path / "nan.json"
+    with pytest.raises(ValidationError, match="'test_loss' is non-finite"):
+        save_sweep(SweepReport([replace(cell, test_loss=float("nan"))]), nan)
+    assert not nan.exists()
+    report = SweepReport([replace(cell, extra={"history": [0.125]})])
+    path = save_sweep(report, tmp_path / "sweep.json")
+    assert load_sweep(path) == report
+    text = path.read_text()
+    assert text.count("0.125") == 1
+    path.write_text(text.replace("0.125", "1e999"))
+    with pytest.raises(ParseError, match="'history' is not standard JSON"):
+        load_sweep(path)
 
 
 def _parent_layout(report):

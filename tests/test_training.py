@@ -10,11 +10,12 @@ from actreg.errors import NonFiniteError, ValidationError
 from actreg.models import ModelSpec, build_model, forward_traced
 from actreg.objective import (EVAL_ROWS, activation_energy,
                               dataset_activation_energy, regularized_loss)
-from actreg.power import PowerSample, energy_per_correct, live_source
+from actreg.power import (PowerSample, check_poll_hz, energy_per_correct,
+                          live_source)
 from actreg.records import load_record, save_record
 from actreg.rng import make_generator, split_streams
 from actreg.sweep import DEFAULT_SEEDS, run_lambda_sweep
-from actreg.tensor import Adam, softmax_cross_entropy
+from actreg.tensor import Adam, Tensor, softmax_cross_entropy
 from actreg.training import (RunConfig, _batch_objective, _eval_objective,
                              evaluate, hardware_descriptor, train)
 
@@ -339,6 +340,48 @@ def test_integer_settings_take_numpy_ints_and_refuse_the_rest(setting, keep, lea
     assert kept == keep(3) and type(kept) is type(keep(3))
     assert not isinstance(kept, np.generic)
     for bad in (True, 2.5, "3", least - 1):
+        with pytest.raises(ValidationError, match=f"^{setting} must be"):
+            keep(bad)
+
+
+_P = Tensor(np.ones(2), requires_grad=True)
+
+
+# every entry point of records.plain_number: the setting it names, a call
+# that returns what it keeps of the value, and whether the bound 0 is
+# itself refused
+@pytest.mark.parametrize("setting, keep, strict", [
+    pytest.param("lr", lambda v: _config(lr=v).lr, True, id="RunConfig.lr"),
+    pytest.param("weight_decay", lambda v: _config(weight_decay=v).weight_decay,
+                 False, id="RunConfig.weight_decay"),
+    pytest.param("lam", lambda v: _config(lam=v).lam, False, id="RunConfig.lam"),
+    pytest.param("val_fraction", lambda v: _config(val_fraction=v).val_fraction,
+                 False, id="RunConfig.val_fraction"),
+    pytest.param("lr", lambda v: Adam([_P], lr=v).lr, False, id="Adam.lr"),
+    pytest.param("weight_decay", lambda v: Adam([_P], weight_decay=v).weight_decay,
+                 False, id="Adam.weight_decay"),
+    pytest.param("lam", lambda v: regularized_loss(0.0, 1.0, v), False,
+                 id="regularized_loss"),
+    pytest.param("joules", lambda v: energy_per_correct(v, 1), False,
+                 id="energy_per_correct"),
+    pytest.param("poll rate", check_poll_hz, True, id="check_poll_hz"),
+    pytest.param("separation", lambda v: synth_blobs(2, 2, 5, v, 0).train_x,
+                 False, id="synth_blobs.separation"),
+    pytest.param("glia_ratio", lambda v: ModelSpec(
+        "bimodal", 4, 8, 2, glia_ratio=v).glia_ratio, True, id="ModelSpec.glia_ratio"),
+    pytest.param("lam", lambda v: run_lambda_sweep(
+        DATA, ModelSpec("mlp", 8, 4, 3), (0.0, v), (1,), epochs=1).rows[-1].lam,
+                 False, id="run_lambda_sweep"),
+])
+def test_real_settings_take_numpy_floats_and_refuse_the_rest(setting, keep, strict):
+    # a string raised a bare TypeError in synth_blobs and energy_per_correct,
+    # a bool passed synth_blobs and regularized_loss, which also refused a
+    # numpy float, and the sweep grid trained "0" and True as 0 and 1
+    kept = keep(np.float32(0.5))
+    plain = keep(float(np.float32(0.5)))
+    np.testing.assert_array_equal(kept, plain)
+    assert type(kept) is type(plain) and not isinstance(kept, np.generic)
+    for bad in ["0.5", True, float("nan"), float("inf"), -1e-3] + [0.0] * strict:
         with pytest.raises(ValidationError, match=f"^{setting} must be"):
             keep(bad)
 
