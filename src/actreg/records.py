@@ -138,8 +138,8 @@ def plain_number(name: str, value, least: float, *,
         if number < math.inf and (number > least
                                   or number == least and not strict):
             return number
-    raise ValidationError(f"{name} must be {'>' if strict else '>='} {least}, "
-                          f"got {value!r}")
+    raise ValidationError(f"{name} must be a finite number "
+                          f"{'>' if strict else '>='} {least}, got {value!r}")
 
 
 def plain_int(name: str, value, least: int) -> int:

@@ -82,7 +82,8 @@ def test_grid_must_include_zero():
 def test_a_bad_lambda_is_named_before_any_cell_trains(bad, monkeypatch):
     # the grid holds 0, so the lambda itself is what gets refused
     monkeypatch.setattr("actreg.sweep.train", lambda *args: pytest.fail("trained"))
-    with pytest.raises(ValidationError, match=f"lam must be >= 0, got {bad}"):
+    with pytest.raises(ValidationError,
+                       match=f"lam must be a finite number >= 0, got {bad}"):
         _sweep(lambdas=(bad, 0.0, 1e-3))
 
 

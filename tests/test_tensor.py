@@ -12,9 +12,9 @@ from actreg.errors import (CaptureError, NonFiniteError, ShapeError,
 from actreg.models import ModelSpec, build_model, forward_traced
 from actreg.objective import activation_energy, regularized_loss
 from actreg.rng import make_generator
-from actreg.tensor import (Adam, Tape, Tensor, _node, concat, conv2d,
-                           grad_check, linear, max_pool2, no_grad, relu,
-                           sigmoid, softmax, softmax_cross_entropy, tanh)
+from actreg.tensor import (CONV_BLOCK_ROWS, Adam, Tape, Tensor, _node, concat,
+                           conv2d, grad_check, linear, max_pool2, no_grad,
+                           relu, sigmoid, softmax, softmax_cross_entropy, tanh)
 
 
 def _leaf(data):
@@ -335,6 +335,57 @@ def test_conv_forward_allocates_no_second_output():
         finally:
             tracemalloc.stop()
     assert peak <= padded + cols + out
+
+
+_B = CONV_BLOCK_ROWS
+# (c, o, k, side): the default cnn's conv1 and conv2, and an odd geometry
+_CONV_GEOMETRIES = [(1, 8, 3, 28), (8, 16, 3, 14), (3, 5, 5, 9)]
+
+
+@pytest.mark.parametrize("c, o, k, side", _CONV_GEOMETRIES)
+@pytest.mark.parametrize("n", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3, 256])
+def test_graph_free_conv_matches_the_graph_bit_for_bit(n, c, o, k, side):
+    # the graph keeps all n rows of columns for dw; a graph-free pass, or
+    # one with constant kernels, multiplies them in blocks of _B rows
+    gen = make_generator(23)
+    x = _leaf(gen.normal(size=(n, c, side, side)))
+    w, b = gen.normal(size=(o, c, k, k)), gen.normal(size=o)
+    want = conv2d(x, _leaf(w), _leaf(b)).data.tobytes()
+    assert conv2d(x, Tensor(w), _leaf(b)).data.tobytes() == want
+    with no_grad():
+        assert conv2d(x, _leaf(w), _leaf(b)).data.tobytes() == want
+
+
+def test_graph_free_conv_tape_replays_every_block():
+    gen = make_generator(29)
+    n, c, o, k, side = 2 * _B + 3, 3, 5, 5, 9
+    x = Tensor(gen.normal(size=(n, c, side, side)))
+    w, b = _leaf(gen.normal(size=(o, c, k, k))), _leaf(gen.normal(size=o))
+    with no_grad():
+        tape = Tape(lambda: conv2d(x, w, b))
+    x.data[...] = gen.normal(size=x.shape)
+    got = tape.replay().data.tobytes()
+    assert got == conv2d(x, w, b).data.tobytes()
+
+
+def test_graph_free_conv_holds_one_column_block():
+    # conv2 of the default cnn over a 256-row evaluation batch: all of its
+    # columns would take 28.9 MB, one block of _B rows 0.9 MB
+    gen = make_generator(31)
+    n, c, o, side, k, pad = 256, 8, 16, 14, 3, 1
+    x = Tensor(gen.normal(size=(n, c, side, side)))
+    w, b = Tensor(gen.normal(size=(o, c, k, k))), Tensor(gen.normal(size=o))
+    padded = n * c * (side + 2 * pad) ** 2 * 8
+    block = _B * c * k * k * side * side * 8
+    out = n * o * side * side * 8
+    with no_grad():
+        tracemalloc.start()
+        try:
+            conv2d(x, w, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= padded + block + out
 
 
 # --------------------------------------------------------------- backward
