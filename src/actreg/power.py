@@ -15,6 +15,7 @@ going; telemetry is never load-bearing.
 
 from __future__ import annotations
 
+import codecs
 import math
 import shlex
 import subprocess
@@ -142,10 +143,28 @@ def energy_per_correct(joules: float, n_correct: int) -> float | None:
     return 1000.0 * joules / n_correct
 
 
-# Characters of a replay file parsed at a time: large enough that the
-# per-block numpy calls cost little, small enough that the block's line
-# and token strings stay a few MB.
+# Characters of a replay file read at a time, by the plain-log check and by
+# the line parser: large enough that the per-block numpy calls cost little,
+# small enough that a block's bytes, lines and tokens stay a few MB.
 _BLOCK_CHARS = 1 << 20
+
+# What a plain log's data lines may hold: the bytes of decimal numbers, the
+# tab and the newline, and the letters of the phase names. The phase field
+# is checked exactly; a letter in a number makes np.loadtxt refuse it or
+# read NaN, and either sends the log to the line parser.
+_DATA_BYTES = b"0123456789+-.eE\t\n" + "".join(PHASES).encode()
+_COMMENT_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
+_SEPARATORS = np.frombuffer(b"\t\t\n", np.uint8)
+# The phase names differ in length, so the length of a line's last field
+# names its phase (a length no name has reads -1). Each name with its
+# newline is 8 to 16 bytes, so the 8 bytes that start the field and the 8
+# that end with its newline cover it.
+_PHASE_BY_LENGTH = np.full(max(map(len, PHASES)) + 2, -1, np.int8)
+_PHASE_BY_LENGTH[[len(name) for name in PHASES]] = range(len(PHASES))
+_PHASE_HEAD, _PHASE_TAIL = (
+    np.array([int.from_bytes(f"{name}\n".encode()[part], "little") for name in PHASES],
+             np.uint64)
+    for part in (slice(8), slice(-8, None)))
 
 
 def replay_source(path) -> PowerTrace:
@@ -157,18 +176,124 @@ def replay_source(path) -> PowerTrace:
     # comments are skipped, and a leading UTF-8 byte-order mark is
     ignored. Numbers follow ``float()``.
     Timestamps must be nondecreasing. The first malformed line raises
-    ParseError with its 1-based line number.
+    ParseError with its 1-based line number; a byte that is not UTF-8
+    makes its line malformed.
+
+    A plain log in a file, not a pipe, is read by numpy's C text reader.
+    A plain log is ASCII with ``\n`` line ends, an optional byte-order
+    mark, ``#`` comment lines only above the first sample, and exactly
+    three fields per data line, the numbers written with digits, signs,
+    points and exponents only. Every other log is read line by line, and
+    so is a plain log that fails a check, so every ParseError comes from
+    the line parser. Both routes read a number with the same correctly
+    rounded conversion as ``float()``, so a log gives the same columns,
+    bit for bit, whichever route reads it.
     """
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        if fh.seekable():  # a pipe can be read once, so the line parser reads it
+            trace = _read_plain(fh)
+            if trace is not None:
+                return trace
+            fh.seek(0)
+        return _read_lines(fh)
+
+
+def _read_plain(fh) -> PowerTrace | None:
+    """The trace of a plain log, read by np.loadtxt, or None.
+
+    None means the log is not plain or a value fails a check. ``fh`` is
+    the log as text, at its start.
+    """
+    plain = _plain_phases(fh.buffer)
+    fh.seek(0)
+    if plain is None:
+        return None
+    comments, phase = plain
+    if not len(phase):
+        return PowerTrace.of(())  # np.loadtxt warns on a log with no data
+    # np.loadtxt gets the open file: given a path, it picks a decompressor
+    # by the file name's suffix and would not read the bytes checked above
+    try:
+        columns = np.loadtxt(fh, delimiter="\t", comments=None, skiprows=comments,
+                             usecols=(0, 1), max_rows=len(phase), ndmin=2)
+    except ValueError:
+        return None
+    t, w = columns.T.copy()
+    # the row count differs only if the file changed since it was checked
+    if (len(t) != len(phase) or not np.isfinite(columns).all() or (w < 0).any()
+            or (t[1:] < t[:-1]).any()):
+        return None
+    return PowerTrace(t, w, phase)
+
+
+def _plain_phases(fh) -> tuple[int, np.ndarray] | None:
+    """The comment lines and phase codes of a plain log, or None if it is not plain.
+
+    ``fh`` is the log opened in binary mode. One pass reads it in blocks
+    of ``_BLOCK_CHARS`` bytes completed to a line end, so memory stays one
+    block plus a byte per sample.
+    """
+    if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        fh.seek(0)
+    phases = [np.zeros(0, np.int8)]
+    comments = 0
+    header = True  # no data line yet
+    while block := fh.read(_BLOCK_CHARS) + fh.readline():
+        if not block.endswith(b"\n"):
+            block += b"\n"  # the last line has no line end
+        if header:
+            start = 0
+            while block.startswith(b"#", start):
+                start = block.index(b"\n", start) + 1
+                comments += 1
+            if block[:start].translate(None, _COMMENT_BYTES):
+                return None
+            block = block[start:]
+            if not block:
+                continue
+            header = False
+        codes = _plain_block(block)
+        if codes is None:
+            return None
+        phases.append(codes)
+    return comments, np.concatenate(phases)
+
+
+def _plain_block(block: bytes) -> np.ndarray | None:
+    """Phase codes of a block of data lines, or None if one of them is not plain.
+
+    The block is whole lines, at least one.
+    """
+    if block.translate(None, _DATA_BYTES):
+        return None
+    raw = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(raw <= ord("\n"))  # the tabs and newlines
+    lines = len(ends) // 3
+    if len(ends) % 3 or not (raw[ends].reshape(lines, 3) == _SEPARATORS).all():
+        return None
+    field, newline = ends[1::3] + 1, ends[2::3]
+    phase = _PHASE_BY_LENGTH.take(newline - field, mode="clip")
+    if (phase < 0).any():
+        return None
+    # words[i] is block[i:i + 8] read as one number
+    words = np.ndarray((len(block) - 7,), "<u8", block, strides=(1,))
+    if ((words[field] != _PHASE_HEAD[phase]).any()
+            or (words[newline - 7] != _PHASE_TAIL[phase]).any()):
+        return None
+    return phase
+
+
+def _read_lines(fh) -> PowerTrace:
+    """The trace of a log read as text in blocks of lines, or ParseError at its first bad line."""
     blocks = [PowerTrace.of(())]  # gives each column its dtype if no line is data
     last_t = None
     lines_before = 0
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        while lines := fh.readlines(_BLOCK_CHARS):
-            block = _parse_block(lines, lines_before, last_t)
-            if len(block):
-                blocks.append(block)
-                last_t = float(block.timestamp_s[-1])
-            lines_before += len(lines)
+    while lines := fh.readlines(_BLOCK_CHARS):
+        block = _parse_block(lines, lines_before, last_t)
+        if len(block):
+            blocks.append(block)
+            last_t = float(block.timestamp_s[-1])
+        lines_before += len(lines)
     return PowerTrace(*(np.concatenate([getattr(b, name) for b in blocks])
                         for name in PowerTrace.__slots__))
 
@@ -181,7 +306,13 @@ def _parse_block(lines: list[str], lines_before: int,
     ``last_t`` is the timestamp of the last sample ahead of it. Every
     check runs over the block's arrays; the first line that fails one is
     then refused by ``_line_error``, which states the first check it fails.
+    A line holding a byte that is not UTF-8 fails before any other check.
     """
+    undecodable = _undecodable(lines)
+    if undecodable is not None:
+        k, byte = undecodable
+        _parse_block(lines[:k], lines_before, last_t)  # a line before it may fail first
+        raise ParseError(f"byte {byte:#04x} is not UTF-8", line=lines_before + k + 1)
     comment = np.array(list(map(str.lstrip, lines)), dtype="U1") == "#"
     blank = np.fromiter(map(str.isspace, lines), bool, len(lines))
     rows = np.flatnonzero(~(comment | blank))
@@ -211,6 +342,24 @@ def _parse_block(lines: list[str], lines_before: int,
         raise ParseError(_line_error(lines[j], previous),
                          line=lines_before + int(rows[j]) + 1)
     return PowerTrace(t, w, phase)
+
+
+def _undecodable(lines: list[str]) -> tuple[int, int] | None:
+    """The index of the first line holding a byte that is not UTF-8, and that byte.
+
+    The log is decoded with errors="surrogateescape", which reads each such
+    byte as a lone surrogate, the one kind of character UTF-8 cannot encode.
+    """
+    text = "".join(lines)
+    if text.isascii():
+        return None
+    try:
+        text.encode("utf-8")
+        return None
+    except UnicodeEncodeError as exc:
+        at = exc.start
+    k = int(np.searchsorted(np.cumsum(list(map(len, lines))), at, side="right"))
+    return k, ord(text[at]) - 0xDC00
 
 
 def _floats(tokens) -> tuple[np.ndarray, np.ndarray]:

@@ -1,14 +1,19 @@
 """Power traces: trapezoid integration fixtures, replay parsing, live polling."""
 
 import math
+import os
 import re
 import sys
 import tempfile
+import threading
 import time
+import tracemalloc
+import warnings
 from collections.abc import Sequence
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +85,10 @@ def test_energy_per_correct_fixture():
 
 def test_phase_names_are_fixed():
     assert PHASES == ("training", "validation", "testing")
+    # the plain-log check names a phase by its length and reads it as two
+    # 8-byte words, one from its start and one ending with its newline
+    assert len(set(map(len, PHASES))) == len(PHASES)
+    assert all(7 <= len(name) <= 15 for name in PHASES)
 
 
 # ----------------------------------------------------------------- replay
@@ -200,8 +209,12 @@ def _line_parser(path) -> list[PowerSample]:
     """Reference: the replay parser that checked and built one sample per line."""
     samples: list[PowerSample] = []
     last_t = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            # surrogateescape reads a byte that is not UTF-8 as U+DC80..U+DCFF
+            escaped = [ord(c) - 0xDC00 for c in raw if "\udc80" <= c <= "\udcff"]
+            if escaped:
+                raise ParseError(f"byte {escaped[0]:#04x} is not UTF-8", line=lineno)
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -353,6 +366,185 @@ def test_a_bad_line_on_either_side_of_a_block_edge(tmp_path):
             replay_source(path)
         assert caught.value.line == k + 1
         assert _outcome(replay_source, path) == _outcome(_line_parser, path)
+
+
+def _routes(path, block_chars=power._BLOCK_CHARS):
+    """replay_source's outcome, and whether np.loadtxt and the line parser ran."""
+    with (mock.patch.object(power, "_BLOCK_CHARS", block_chars),
+          mock.patch.object(power.np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+          mock.patch.object(power, "_read_lines", wraps=power._read_lines) as lines):
+        return _outcome(replay_source, path), loadtxt.called, lines.called
+
+
+PLAIN_COMMENTS = st.sampled_from(["#", "# meter: fixture", "#\t1.0\t2.0\ttraining",
+                                  "# timestamp_s\twatts\tphase"])
+
+
+@st.composite
+def plain_logs(draw):
+    """Replay text that numpy's reader may take: leading # comments, then data
+    lines of three fields with numbers spelt as meters spell them, \\n endings,
+    an optional byte-order mark and an optional final line end."""
+    t = draw(st.floats(-1e3, 1e3))
+    lines = draw(st.lists(PLAIN_COMMENTS, max_size=3))
+    for _ in range(draw(st.integers(1, 40))):
+        t += draw(st.sampled_from([0.0, 1e-3, 0.1, 7.0]))
+        w = draw(st.floats(0.0, 1e6))
+        spell = draw(st.sampled_from([repr, "{:.6g}".format, "{:e}".format,
+                                      lambda x: f"+{x!r}" if x >= 0 else repr(x)]))
+        lines.append(f"{spell(t)}\t{spell(w)}\t{draw(st.sampled_from(PHASES))}")
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=plain_logs(),
+       block_chars=st.one_of(st.integers(1, 300), st.just(power._BLOCK_CHARS)))
+def test_plain_logs_take_numpys_reader_with_the_line_parsers_result(text, block_chars):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(_line_parser, path)
+        outcome, loadtxt_ran, lines_ran = _routes(path, block_chars)
+        assert outcome == expected and loadtxt_ran
+        if isinstance(expected, tuple):
+            # a number spelt to 6 digits can round past the next timestamp
+            assert "out of order" in expected[0] and lines_ran
+            return
+        assert not lines_ran
+        with mock.patch.object(power, "_BLOCK_CHARS", block_chars):
+            trace = replay_source(path)
+        reference = PowerTrace.of(_line_parser(path))
+    assert _columns(trace) == _columns(reference)
+
+
+PLAIN = ("# meter export\n0.0\t100.0\ttraining\n1.0\t101.5\ttraining\n"
+         "2.0\t80.25\tvalidation\n3.0\t90.0\ttesting\n")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("training\n1.0", "training\n# pause\n1.0"),  # a comment between samples
+    ("training\n1.0", "training\n\n1.0"),  # a blank line
+    ("training\n1.0", "training\r\n1.0"),  # one CRLF ending
+    ("101.5\ttraining", "101.5\ttraining\t12.5"),  # a 4th field
+    ("101.5", "1_0"),
+    ("1.0\t", "\u0661\t"),  # ARABIC-INDIC DIGIT ONE
+    ("101.5", "nan"),
+    ("101.5", "-101.5"),
+    ("2.0\t", "0.5\t"),  # out of order
+    ("101.5", ""),
+    ("101.5", "inf"),
+    ("1.0\t", "1e999\t"),
+    ("training\n1.0", "training\n 1.0"),
+    ("\tvalidation", "\tvalidatio"),
+    ("\tvalidation", "\tvalidatioN"),
+    ("\ttesting", "\ttestinG"),
+])
+def test_a_near_miss_gives_the_line_parsers_outcome(tmp_path, old, new):
+    assert PLAIN.count(old) == 1
+    path = tmp_path / "log.tsv"
+    path.write_bytes(PLAIN.replace(old, new).encode("utf-8"))
+    expected = _outcome(_line_parser, path)
+    for block_chars in (1, 7, 40, power._BLOCK_CHARS):
+        outcome, _, lines_ran = _routes(path, block_chars)
+        assert outcome == expected
+        # every ParseError comes from the line parser
+        assert lines_ran or not isinstance(outcome, tuple)
+
+
+def test_the_plain_log_itself_takes_numpys_reader(tmp_path):
+    path = tmp_path / "log.tsv"
+    path.write_text(PLAIN)
+    assert _routes(path) == (_outcome(_line_parser, path), True, False)
+
+
+def test_an_empty_or_comment_only_log_is_an_empty_trace_without_warnings(tmp_path):
+    path = tmp_path / "log.tsv"
+    for text in ("", "\ufeff", "# meter export\n", "# a\n# b", "\n"):
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = replay_source(path)
+        assert len(trace) == 0
+        assert _columns(trace) == _columns(PowerTrace.of(()))
+
+
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "log.tsv"
+    good = b"0.0\t100.0\ttraining\n1.0\t100.0\ttraining\n"
+    cases = [
+        (b"# meter \xb5W export\n" + good, "byte 0xb5 is not UTF-8", 1),
+        (good + b"2.0\t9\xff\ttesting\n", "byte 0xff is not UTF-8", 3),
+        (good + b"2.0\t9\ttesting\n# \xed\xa0\x80\n", "byte 0xed is not UTF-8", 4),
+        # an earlier line that fails another check is named first
+        (good + b"0.5\t1.0\ttesting\n# \xb5\n", "out of order", 3),
+        (b"0.0\t-1\ttraining\n\xb5\n", "negative wattage", 1),
+        # the bad byte's line fails first, whatever else is wrong with it
+        (good + b"2.0\t-1\xb5\tlounging\n", "byte 0xb5 is not UTF-8", 3),
+    ]
+    for data, message, line in cases:
+        path.write_bytes(data)
+        for block_chars in (1, 20, power._BLOCK_CHARS):
+            with mock.patch.object(power, "_BLOCK_CHARS", block_chars):
+                with pytest.raises(ParseError, match=message) as caught:
+                    replay_source(path)
+            assert caught.value.line == line
+            assert _outcome(replay_source, path) == _outcome(_line_parser, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=replay_logs(), byte=st.integers(0x80, 0xFF), at=st.floats(0.0, 1.0),
+       block_chars=st.integers(1, 300))
+def test_a_byte_that_is_not_utf8_anywhere_matches_the_line_parser(text, byte, at,
+                                                                   block_chars):
+    data = text.encode("utf-8")
+    k = int(at * len(data))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.tsv"
+        path.write_bytes(data[:k] + bytes([byte]) + data[k:])
+        expected = _outcome(_line_parser, path)
+        with mock.patch.object(power, "_BLOCK_CHARS", block_chars):
+            assert _outcome(replay_source, path) == expected
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="posix named pipe")
+def test_a_log_read_from_a_pipe_takes_the_line_parser(tmp_path):
+    pipe = tmp_path / "log.fifo"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(PLAIN,))
+    writer.start()
+    try:
+        outcome, loadtxt_ran, _ = _routes(pipe)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive() and not loadtxt_ran
+    (tmp_path / "log.tsv").write_text(PLAIN)
+    assert outcome == _outcome(_line_parser, tmp_path / "log.tsv")
+
+
+def test_replay_memory_stays_below_a_copy_of_the_log(tmp_path):
+    # the workload's shape: a header comment, then 10 Hz samples written with repr
+    n = 100_000
+    gen = np.random.default_rng(3)
+    watts = np.abs(120.0 + gen.normal(0.0, 5.0, n)).tolist()
+    phases = [PHASES[(k % 100) // 80] for k in range(n)]
+    path = tmp_path / "power.tsv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# timestamp_s\twatts\tphase\n")
+        fh.writelines(f"{0.1 * k!r}\t{w!r}\t{p}\n" for k, (w, p) in enumerate(zip(watts, phases)))
+    replay_source(path)
+    tracemalloc.start()
+    try:
+        trace = replay_source(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == n
+    # the columns, a copy of them and a block or two, but not the log: the
+    # line parser peaks at 10.7 MB on this log, and holding its 3.9 MB
+    # would break the bound
+    columns = sum(getattr(trace, name).nbytes for name in PowerTrace.__slots__)
+    assert peak < 2 * columns + 2 * power._BLOCK_CHARS < path.stat().st_size + columns
 
 
 # ------------------------------------------------------------------- live
