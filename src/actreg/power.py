@@ -151,18 +151,18 @@ _BLOCK_CHARS = 1 << 20
 # What a plain log's data lines may hold: the bytes of decimal numbers, the
 # tab and the newline, and the letters of the phase names. The phase field
 # is checked exactly; a letter in a number makes np.loadtxt refuse it or
-# read NaN, and either sends the log to the line parser.
+# read NaN. NaN fails the timestamp and wattage checks, and the line parser
+# accepts it in a trailing field too.
 _DATA_BYTES = b"0123456789+-.eE\t\n" + "".join(PHASES).encode()
 _COMMENT_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
-_SEPARATORS = np.frombuffer(b"\t\t\n", np.uint8)
-# The phase names differ in length, so the length of a line's last field
-# names its phase (a length no name has reads -1). Each name with its
-# newline is 8 to 16 bytes, so the 8 bytes that start the field and the 8
-# that end with its newline cover it.
+# The phase names differ in length, so the length of a line's third field
+# names its phase (a length no name has reads -1). Each name with the tab
+# before it is 8 to 16 bytes, so the 8 bytes from that tab and the 8 that
+# end the name cover it, whichever byte follows it.
 _PHASE_BY_LENGTH = np.full(max(map(len, PHASES)) + 2, -1, np.int8)
 _PHASE_BY_LENGTH[[len(name) for name in PHASES]] = range(len(PHASES))
 _PHASE_HEAD, _PHASE_TAIL = (
-    np.array([int.from_bytes(f"{name}\n".encode()[part], "little") for name in PHASES],
+    np.array([int.from_bytes(f"\t{name}".encode()[part], "little") for name in PHASES],
              np.uint64)
     for part in (slice(8), slice(-8, None)))
 
@@ -181,13 +181,14 @@ def replay_source(path) -> PowerTrace:
 
     A plain log in a file, not a pipe, is read by numpy's C text reader.
     A plain log is ASCII with ``\n`` line ends, an optional byte-order
-    mark, ``#`` comment lines only above the first sample, and exactly
-    three fields per data line, the numbers written with digits, signs,
-    points and exponents only. Every other log is read line by line, and
-    so is a plain log that fails a check, so every ParseError comes from
-    the line parser. Both routes read a number with the same correctly
-    rounded conversion as ``float()``, so a log gives the same columns,
-    bit for bit, whichever route reads it.
+    mark, ``#`` comment lines only above the first sample, and the same
+    number of fields, three to five, on every data line, as a meter
+    writes the same columns on every line; its numbers are written with
+    digits, signs, points and exponents only. Every other log is read
+    line by line, and so is a plain log that fails a check, so every
+    ParseError comes from the line parser. Both routes read a number
+    with the same correctly rounded conversion as ``float()``, so a log
+    gives the same columns, bit for bit, whichever route reads it.
     """
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         if fh.seekable():  # a pipe can be read once, so the line parser reads it
@@ -208,26 +209,29 @@ def _read_plain(fh) -> PowerTrace | None:
     fh.seek(0)
     if plain is None:
         return None
-    comments, phase = plain
+    fields, comments, phase = plain
     if not len(phase):
         return PowerTrace.of(())  # np.loadtxt warns on a log with no data
     # np.loadtxt gets the open file: given a path, it picks a decompressor
-    # by the file name's suffix and would not read the bytes checked above
+    # by the file name's suffix and would not read the bytes checked above.
+    # It reads the trailing fields too, so one that float() refuses fails here.
     try:
         columns = np.loadtxt(fh, delimiter="\t", comments=None, skiprows=comments,
-                             usecols=(0, 1), max_rows=len(phase), ndmin=2)
+                             usecols=(0, 1, *range(3, fields)), max_rows=len(phase),
+                             ndmin=2)
     except ValueError:
         return None
-    t, w = columns.T.copy()
+    t, w = columns[:, :2].T.copy()
     # the row count differs only if the file changed since it was checked
-    if (len(t) != len(phase) or not np.isfinite(columns).all() or (w < 0).any()
-            or (t[1:] < t[:-1]).any()):
+    if len(t) != len(phase) or _bad_rows(t, w, None).any():
         return None
     return PowerTrace(t, w, phase)
 
 
-def _plain_phases(fh) -> tuple[int, np.ndarray] | None:
-    """The comment lines and phase codes of a plain log, or None if it is not plain.
+def _plain_phases(fh) -> tuple[int, int, np.ndarray] | None:
+    """The fields per data line, comment lines and phase codes of a plain log.
+
+    None means the log is not plain.
 
     ``fh`` is the log opened in binary mode. One pass reads it in blocks
     of ``_BLOCK_CHARS`` bytes completed to a line end, so memory stays one
@@ -236,7 +240,7 @@ def _plain_phases(fh) -> tuple[int, np.ndarray] | None:
     if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
         fh.seek(0)
     phases = [np.zeros(0, np.int8)]
-    comments = 0
+    fields = comments = 0
     header = True  # no data line yet
     while block := fh.read(_BLOCK_CHARS) + fh.readline():
         if not block.endswith(b"\n"):
@@ -252,33 +256,36 @@ def _plain_phases(fh) -> tuple[int, np.ndarray] | None:
             if not block:
                 continue
             header = False
-        codes = _plain_block(block)
+            fields = block.count(b"\t", 0, block.index(b"\n")) + 1
+            if not 3 <= fields <= 5:
+                return None
+        codes = _plain_block(block, fields)
         if codes is None:
             return None
         phases.append(codes)
-    return comments, np.concatenate(phases)
+    return fields, comments, np.concatenate(phases)
 
 
-def _plain_block(block: bytes) -> np.ndarray | None:
+def _plain_block(block: bytes, fields: int) -> np.ndarray | None:
     """Phase codes of a block of data lines, or None if one of them is not plain.
 
-    The block is whole lines, at least one.
+    The block is whole lines, at least one, and each must have ``fields`` fields.
     """
     if block.translate(None, _DATA_BYTES):
         return None
     raw = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(raw <= ord("\n"))  # the tabs and newlines
-    lines = len(ends) // 3
-    if len(ends) % 3 or not (raw[ends].reshape(lines, 3) == _SEPARATORS).all():
+    separators = np.frombuffer(b"\t" * (fields - 1) + b"\n", np.uint8)
+    if len(ends) % fields or not (raw[ends].reshape(-1, fields) == separators).all():
         return None
-    field, newline = ends[1::3] + 1, ends[2::3]
-    phase = _PHASE_BY_LENGTH.take(newline - field, mode="clip")
+    field, end = ends[1::fields] + 1, ends[2::fields]
+    phase = _PHASE_BY_LENGTH.take(end - field, mode="clip")
     if (phase < 0).any():
         return None
     # words[i] is block[i:i + 8] read as one number
     words = np.ndarray((len(block) - 7,), "<u8", block, strides=(1,))
-    if ((words[field] != _PHASE_HEAD[phase]).any()
-            or (words[newline - 7] != _PHASE_TAIL[phase]).any()):
+    if ((words[field - 1] != _PHASE_HEAD[phase]).any()
+            or (words[end - 8] != _PHASE_TAIL[phase]).any()):
         return None
     return phase
 
@@ -308,7 +315,8 @@ def _parse_block(lines: list[str], lines_before: int,
     then refused by ``_line_error``, which states the first check it fails.
     A line holding a byte that is not UTF-8 fails before any other check.
     """
-    undecodable = _undecodable(lines)
+    text = "".join(lines)
+    undecodable = _undecodable(text, lines)
     if undecodable is not None:
         k, byte = undecodable
         _parse_block(lines[:k], lines_before, last_t)  # a line before it may fail first
@@ -316,41 +324,54 @@ def _parse_block(lines: list[str], lines_before: int,
     comment = np.array(list(map(str.lstrip, lines)), dtype="U1") == "#"
     blank = np.fromiter(map(str.isspace, lines), bool, len(lines))
     rows = np.flatnonzero(~(comment | blank))
-    if len(rows) < len(lines):
-        lines = [lines[r] for r in rows.tolist()]
+    # every line's fields are tokens of the block, comments and blank lines too
     fields = np.fromiter(map(str.count, lines, repeat("\t")), np.intp, len(lines)) + 1
-    # the columns stop at the first line with a bad field count; it is the
-    # line refused unless a line before it fails another check
-    bad_count = (fields < 3) | (fields > 5)
-    m = int(np.argmax(bad_count)) if bad_count.any() else len(lines)
-    fields = fields[:m]
-    tokens = np.array("".join(lines[:m]).replace("\n", "\t").split("\t"), dtype=object)
-    start = np.cumsum(fields) - fields
+    # the columns stop at the first data line with a bad field count; it is
+    # the line refused unless a line before it fails another check
+    bad_count = (fields[rows] < 3) | (fields[rows] > 5)
+    m = int(np.argmax(bad_count)) if bad_count.any() else len(rows)
+    text = text.replace("\n", "\t")  # a newline ends a field too
+    tokens = text.split("\t")
+    del text  # the block is held once, as its tokens
+    tokens = np.array(tokens, dtype=object)
+    start = (np.cumsum(fields) - fields)[rows[:m]]
+    fields = fields[rows[:m]]
     t = _floats(tokens[start])[0]
     w = _floats(tokens[start + 1])[0]
     phase = np.fromiter(map(_PHASE_CODE.get, tokens[start + 2], repeat(-1)), np.int8, m)
-    bad = ~np.isfinite(t) | ~np.isfinite(w) | (w < 0) | (phase < 0)
-    bad[1:] |= t[1:] < t[:-1]
-    if m and last_t is not None:
-        bad[0] |= t[0] < last_t
+    bad = _bad_rows(t, w, last_t) | (phase < 0)
     for k in (3, 4):
         has = fields > k
         bad[has] |= _floats(tokens[start[has] + k])[1]
-    if bad.any() or m < len(lines):
+    if bad.any() or m < len(rows):
         j = int(np.argmax(bad)) if bad.any() else m
         previous = float(t[j - 1]) if j else last_t
-        raise ParseError(_line_error(lines[j], previous),
+        raise ParseError(_line_error(lines[rows[j]], previous),
                          line=lines_before + int(rows[j]) + 1)
     return PowerTrace(t, w, phase)
 
 
-def _undecodable(lines: list[str]) -> tuple[int, int] | None:
+def _bad_rows(t: np.ndarray, w: np.ndarray, last_t: float | None) -> np.ndarray:
+    """Which samples fail a value check, the same on either route.
+
+    A sample fails if its timestamp or wattage is not finite, its wattage
+    is negative, or its timestamp comes before the one ahead of it,
+    ``last_t`` for the first.
+    """
+    bad = ~np.isfinite(t) | ~np.isfinite(w) | (w < 0)
+    bad[1:] |= t[1:] < t[:-1]
+    if len(t) and last_t is not None:
+        bad[0] |= t[0] < last_t
+    return bad
+
+
+def _undecodable(text: str, lines: list[str]) -> tuple[int, int] | None:
     """The index of the first line holding a byte that is not UTF-8, and that byte.
 
-    The log is decoded with errors="surrogateescape", which reads each such
-    byte as a lone surrogate, the one kind of character UTF-8 cannot encode.
+    ``text`` is the lines joined. The log is decoded with
+    errors="surrogateescape", which reads each such byte as a lone
+    surrogate, the one kind of character UTF-8 cannot encode.
     """
-    text = "".join(lines)
     if text.isascii():
         return None
     try:

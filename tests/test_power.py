@@ -86,7 +86,7 @@ def test_energy_per_correct_fixture():
 def test_phase_names_are_fixed():
     assert PHASES == ("training", "validation", "testing")
     # the plain-log check names a phase by its length and reads it as two
-    # 8-byte words, one from its start and one ending with its newline
+    # 8-byte words, one from the tab before it and one ending with its name
     assert len(set(map(len, PHASES))) == len(PHASES)
     assert all(7 <= len(name) <= 15 for name in PHASES)
 
@@ -380,19 +380,28 @@ PLAIN_COMMENTS = st.sampled_from(["#", "# meter: fixture", "#\t1.0\t2.0\ttrainin
                                   "# timestamp_s\twatts\tphase"])
 
 
+PLAIN_SPELLINGS = st.sampled_from([repr, "{:.6g}".format, "{:e}".format,
+                                   lambda x: repr(x) if str(x)[0] == "-" else f"+{x!r}"])
+# a trailing field is only read as a number, so NaN passes there
+PLAIN_AUX = st.one_of(st.floats(-1e3, 1e3), st.just(math.nan))
+
+
 @st.composite
 def plain_logs(draw):
     """Replay text that numpy's reader may take: leading # comments, then data
-    lines of three fields with numbers spelt as meters spell them, \\n endings,
-    an optional byte-order mark and an optional final line end."""
+    lines of the same number of fields, three to five, with numbers spelt as
+    meters spell them, \\n endings, an optional byte-order mark and an
+    optional final line end."""
     t = draw(st.floats(-1e3, 1e3))
     lines = draw(st.lists(PLAIN_COMMENTS, max_size=3))
+    aux = draw(st.integers(0, 2))
     for _ in range(draw(st.integers(1, 40))):
         t += draw(st.sampled_from([0.0, 1e-3, 0.1, 7.0]))
         w = draw(st.floats(0.0, 1e6))
-        spell = draw(st.sampled_from([repr, "{:.6g}".format, "{:e}".format,
-                                      lambda x: f"+{x!r}" if x >= 0 else repr(x)]))
-        lines.append(f"{spell(t)}\t{spell(w)}\t{draw(st.sampled_from(PHASES))}")
+        spell = draw(PLAIN_SPELLINGS)
+        parts = [spell(t), spell(w), draw(st.sampled_from(PHASES))]
+        parts += [draw(PLAIN_SPELLINGS)(draw(PLAIN_AUX)) for _ in range(aux)]
+        lines.append("\t".join(parts))
     text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
     return draw(st.sampled_from(["", "\ufeff"])) + text
 
@@ -420,13 +429,19 @@ def test_plain_logs_take_numpys_reader_with_the_line_parsers_result(text, block_
 
 PLAIN = ("# meter export\n0.0\t100.0\ttraining\n1.0\t101.5\ttraining\n"
          "2.0\t80.25\tvalidation\n3.0\t90.0\ttesting\n")
+# a meter's cpu and memory percent, the trailing fields of demos/05_power_replay.py,
+# after every sample
+METER = ("# seconds\twatts\tphase\tcpu%\tmem%\n0.0\t100.0\ttraining\t55.0\t12.0\n"
+         "1.0\t101.5\ttraining\t71.0\t12.1\n2.0\t80.25\tvalidation\t3.5\t12.1\n"
+         "3.0\t90.0\ttesting\t42.0\t12.5\n")
 
 
 @pytest.mark.parametrize("old, new", [
     ("training\n1.0", "training\n# pause\n1.0"),  # a comment between samples
     ("training\n1.0", "training\n\n1.0"),  # a blank line
     ("training\n1.0", "training\r\n1.0"),  # one CRLF ending
-    ("101.5\ttraining", "101.5\ttraining\t12.5"),  # a 4th field
+    ("101.5\ttraining", "101.5\ttraining\t12.5\t1.0\t2.0"),  # more fields
+    ("101.5\ttraining", "101.5\ttraining\t12.5"),  # one field more than the rest
     ("101.5", "1_0"),
     ("1.0\t", "\u0661\t"),  # ARABIC-INDIC DIGIT ONE
     ("101.5", "nan"),
@@ -452,10 +467,41 @@ def test_a_near_miss_gives_the_line_parsers_outcome(tmp_path, old, new):
         assert lines_ran or not isinstance(outcome, tuple)
 
 
-def test_the_plain_log_itself_takes_numpys_reader(tmp_path):
+@pytest.mark.parametrize("log", [
+    PLAIN, METER,
+    METER.replace("\t12.0\n", "\n").replace("\t12.1\n", "\n").replace("\t12.5\n", "\n"),
+    METER.replace("\t71.0", "\tnan"),  # read as a number, then ignored
+], ids=["plain", "meter", "four-fields", "nan-cpu"])
+def test_the_plain_log_itself_takes_numpys_reader(tmp_path, log):
     path = tmp_path / "log.tsv"
-    path.write_text(PLAIN)
+    path.write_text(log)
     assert _routes(path) == (_outcome(_line_parser, path), True, False)
+    assert len(_outcome(_line_parser, path)) == 4
+
+
+@pytest.mark.parametrize("old, new", [
+    ("\t55.0\t12.0", ""),  # a sample without the meter's fields
+    ("\t55.0\t12.0", "\t55.0"),
+    ("\t55.0\t12.0", "\t55.0\t12.0\t1.0"),  # six fields
+    ("\t71.0", "\t"),  # an empty trailing field
+    ("\t71.0", "\t1e"),
+    ("\t71.0", "\t+"),
+    ("\t71.0", "\t."),
+    ("\t71.0", "\t7_1"),
+    ("\t71.0", "\tinf"),
+    ("\t71.0", "\tnana"),
+    ("\t71.0", "\ttesting"),
+    ("\t12.5\n", "\t12.5\r\n"),
+])
+def test_a_near_miss_in_a_meters_fields_gives_the_line_parsers_outcome(tmp_path, old,
+                                                                         new):
+    assert METER.count(old) == 1
+    path = tmp_path / "log.tsv"
+    path.write_bytes(METER.replace(old, new).encode("utf-8"))
+    expected = _outcome(_line_parser, path)
+    for block_chars in (1, 7, 40, power._BLOCK_CHARS):
+        outcome, _, lines_ran = _routes(path, block_chars)
+        assert outcome == expected and lines_ran
 
 
 def test_an_empty_or_comment_only_log_is_an_empty_trace_without_warnings(tmp_path):
