@@ -12,6 +12,9 @@ report holds only its cells, so loading recomputes the rows.
 from __future__ import annotations
 
 import json
+import os
+import sys
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -123,6 +126,74 @@ DEFAULT_SEEDS = (42, 123, 456, 789, 1011, 1213, 1415, 1617, 1819, 2021)
 DEFAULT_EPOCHS = 5
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _may_fork() -> bool:
+    """Whether this process may fork workers.
+
+    A fork copies only the calling thread, so a lock that another thread
+    (a telemetry sampler, say) holds would stay held in the child; and a
+    daemonic process, such as a ``multiprocessing.Pool`` worker, may
+    have no children.
+    """
+    mp = sys.modules.get("multiprocessing")
+    return (hasattr(os, "fork") and threading.active_count() == 1
+            and not (mp and mp.current_process().daemon))
+
+
+_grid: tuple = ()  # a worker's (configs, data), inherited through the fork
+
+
+def _adopt(configs, data) -> None:
+    global _grid
+    _grid = (configs, data)
+
+
+def _worker_cell(i: int) -> ExperimentRecord:
+    configs, data = _grid
+    return train(configs[i], data)[1]
+
+
+def _train_cells(configs: list[RunConfig], data: DatasetHandle
+                 ) -> list[ExperimentRecord]:
+    """Every config's record, in order.
+
+    With c CPUs, min(c, cells) - 1 forked workers train the cells whose
+    index is not a multiple of the worker count plus one; this process
+    trains the rest through ``train``. With no workers that is every
+    cell, and no process starts.
+    """
+    workers = min(_cpus(), len(configs)) - 1 if _may_fork() else 0
+    pool = None
+    if workers:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # fork, not spawn: spawn re-runs the caller's __main__, and a
+        # fork shares the dataset with the workers copy-on-write
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                   initializer=_adopt, initargs=(configs, data))
+    try:
+        remote = {i: pool.submit(_worker_cell, i)
+                  for i in range(len(configs)) if i % (workers + 1)}
+        cells = []
+        for i, config in enumerate(configs):
+            for future in remote.values():  # a failed worker stops the grid now
+                if future.done():
+                    future.result()
+            cells.append(None if i in remote else train(config, data)[1])
+        for i, future in remote.items():
+            cells[i] = future.result()
+        return cells
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
 def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
                      lambdas=DEFAULT_LAMBDAS, seeds=DEFAULT_SEEDS, *,
                      lr: float = RunConfig.lr,
@@ -137,6 +208,16 @@ def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
     The report's ``cells`` are the records ``train`` returned, in grid
     order. Diverged cells are dropped from the rows and listed in
     ``failed``. A list passed as ``records`` receives the same records.
+
+    Cells train at once on every CPU the process may use: forked worker
+    processes train some, this process the rest. Limit them with the
+    process's CPU affinity (``taskset -c 0`` trains every cell here).
+    Every record is bit-identical to the one a serial run gives; each
+    cell's ``training_duration_seconds`` is its own wall time. While
+    another thread runs, or in a daemonic process, nothing is forked and
+    every cell trains here.
+    An error in a worker's cell is raised here with its type and
+    message, and a worker that dies raises ``BrokenProcessPool``.
     """
     epochs = plain_int("epochs", epochs, 1)
     lambdas = sorted(set(float(plain_number("lam", l, 0)) for l in lambdas))
@@ -153,7 +234,7 @@ def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
                          max_epochs=epochs, patience=epochs,
                          weight_decay=weight_decay, lam=lam, seed=seed)
                for lam in lambdas for seed in seeds]
-    cells = [train(config, data)[1] for config in configs]
+    cells = _train_cells(configs, data)
     if records is not None:
         records.extend(cells)
     return SweepReport(cells)

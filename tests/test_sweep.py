@@ -1,6 +1,13 @@
 """Lambda sweeps: baseline identity, aggregation, persistence."""
 
 import json
+import multiprocessing
+import os
+import signal
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -262,3 +269,134 @@ def test_load_sweep_rejects_malformed(tmp_path):
     bad.write_text(json.dumps(raw))
     with pytest.raises(ParseError, match="seed"):
         load_sweep(bad)
+
+
+def _train_noting_pid(config, data):
+    model, record = train(config, data)
+    return model, replace(record, extra={**record.extra, "pid": os.getpid()})
+
+
+def _pids_stripped(report):
+    """The processes that trained the cells, and the cells without them
+    or their wall times."""
+    pids = [c.extra["pid"] for c in report.cells]
+    cells = [replace(c, extra={k: v for k, v in c.extra.items() if k != "pid"},
+                     training_duration_seconds=0.0) for c in report.cells]
+    return pids, cells
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, when the block outlasts ``seconds``."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _no_process_left(threads_before):
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_parallel_grid_equals_the_serial_grid(cpus, monkeypatch):
+    monkeypatch.setattr("actreg.sweep.train", _train_noting_pid)
+    grid = dict(lambdas=(0.0, 1e-2, 1e308))
+    monkeypatch.setattr("actreg.sweep._cpus", lambda: 1)
+    serial = _sweep(**grid)
+    monkeypatch.setattr("actreg.sweep._cpus", lambda: cpus)
+    threads = threading.active_count()
+    records = []
+    with _deadline(60):
+        parallel = _sweep(**grid, records=records)
+    _no_process_left(threads)
+    serial_pids, serial_cells = _pids_stripped(serial)
+    pids, cells = _pids_stripped(parallel)
+    assert set(serial_pids) == {os.getpid()}
+    # the caller trains every (workers + 1)-th cell, workers the others
+    workers = min(cpus, len(cells)) - 1
+    assert [p == os.getpid() for p in pids] == \
+        [i % (workers + 1) == 0 for i in range(len(cells))]
+    assert len(set(pids) - {os.getpid()}) in range(1, workers + 1)
+    assert cells == serial_cells  # every field but the wall time, bit for bit
+    assert [(c.lam, c.seed) for c in parallel.failed] == \
+        [(c.lam, c.seed) for c in serial.failed] == [(1e308, 42), (1e308, 123)]
+    assert records == parallel.cells
+
+
+def test_an_error_in_a_worker_cell_reaches_the_caller(monkeypatch, tmp_path):
+    caller, raised = os.getpid(), tmp_path / "raised"
+    trained = []
+
+    def train_failing_in_workers(config, data):
+        if os.getpid() != caller:
+            raised.touch()
+            raise ValidationError(f"no cell at lam={config.lam:g} seed={config.seed}")
+        trained.append((config.lam, config.seed))
+        for _ in range(1000):  # until a worker's cell has failed
+            if raised.exists():
+                break
+            time.sleep(0.01)
+        time.sleep(0.5)  # for its error to reach this process
+        return train(config, data)
+
+    monkeypatch.setattr("actreg.sweep.train", train_failing_in_workers)
+    monkeypatch.setattr("actreg.sweep._cpus", lambda: 2)
+    threads = threading.active_count()
+    with _deadline(60), pytest.raises(ValidationError) as info:
+        _sweep()
+    # (0, 42) trains here; (0, 123) is the first cell a worker trains
+    assert type(info.value) is ValidationError
+    assert str(info.value) == "no cell at lam=0 seed=123"
+    assert trained == [(0.0, 42)]  # the caller's next cell never started
+    _no_process_left(threads)
+
+
+def test_a_worker_that_dies_breaks_the_sweep_without_a_hang(monkeypatch):
+    caller = os.getpid()
+
+    def train_dying_in_workers(config, data):
+        if os.getpid() != caller:
+            os._exit(3)
+        return train(config, data)
+
+    monkeypatch.setattr("actreg.sweep.train", train_dying_in_workers)
+    monkeypatch.setattr("actreg.sweep._cpus", lambda: 2)
+    threads = threading.active_count()
+    with _deadline(60), pytest.raises(BrokenProcessPool):
+        _sweep(lambdas=(0.0, 1e-3, 1e-2))
+    _no_process_left(threads)
+
+
+def test_no_process_is_forked_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr("actreg.sweep._cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    stop = threading.Event()
+    telemetry = threading.Thread(target=stop.wait)
+    telemetry.start()
+    try:
+        report = _sweep()
+    finally:
+        stop.set()
+        telemetry.join(timeout=10)
+    assert not telemetry.is_alive()
+    assert [c.status for c in report.cells] == ["ok"] * 4
+    assert multiprocessing.active_children() == []
+
+
+def _statuses_of_a_sweep():
+    return [c.status for c in _sweep().cells]
+
+
+def test_a_pool_worker_trains_its_sweep_itself(monkeypatch):
+    # a multiprocessing.Pool worker is daemonic and may not fork
+    monkeypatch.setattr("actreg.sweep._cpus", lambda: 4)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        statuses = pool.apply_async(_statuses_of_a_sweep).get(timeout=60)
+    assert statuses == ["ok"] * 4
