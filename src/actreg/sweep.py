@@ -18,6 +18,7 @@ import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
+from time import perf_counter, process_time
 
 import numpy as np
 
@@ -127,10 +128,13 @@ DEFAULT_EPOCHS = 5
 
 
 def _cpus() -> int:
-    """How many CPUs this process may run on."""
+    """How many CPUs this process may run on; 1 where that cannot be
+    read (no ``os.sched_getaffinity``, as on macOS and Windows), so a
+    sweep forks only on Linux. macOS's system libraries, numpy's BLAS
+    among them, may start threads that a fork would not copy."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return 1
 
 
 def _may_fork() -> bool:
@@ -142,7 +146,7 @@ def _may_fork() -> bool:
     have no children.
     """
     mp = sys.modules.get("multiprocessing")
-    return (hasattr(os, "fork") and threading.active_count() == 1
+    return (threading.active_count() == 1
             and not (mp and mp.current_process().daemon))
 
 
@@ -163,14 +167,24 @@ def _train_cells(configs: list[RunConfig], data: DatasetHandle
                  ) -> list[ExperimentRecord]:
     """Every config's record, in order.
 
-    With c CPUs, min(c, cells) - 1 forked workers train the cells whose
-    index is not a multiple of the worker count plus one; this process
-    trains the rest through ``train``. With no workers that is every
-    cell, and no process starts.
+    The first cell trains here, timed in wall and process CPU time. All
+    cells share one model and batch size, so the first shows how many
+    cores a cell keeps busy. If that rounds to one core, with c CPUs
+    ``min(c, cells - 1) - 1`` workers are forked and train the cells
+    whose index is not a multiple of the worker count plus one; this
+    process trains the rest through ``train``. A cell that kept more
+    cores busy (a BLAS with several threads) leaves no core idle: a
+    second process would only contend for them, so no worker starts and
+    every cell trains here. A first cell of a few milliseconds is too
+    short to time well, but either route gives the same records.
     """
-    workers = min(_cpus(), len(configs)) - 1 if _may_fork() else 0
+    wall, cpu = perf_counter(), process_time()
+    first = train(configs[0], data)[1]
+    cores = (process_time() - cpu) / (perf_counter() - wall)
+    workers = (min(_cpus(), len(configs) - 1) - 1
+               if round(cores) <= 1 and _may_fork() else 0)
     pool = None
-    if workers:
+    if workers > 0:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         # fork, not spawn: spawn re-runs the caller's __main__, and a
@@ -179,13 +193,13 @@ def _train_cells(configs: list[RunConfig], data: DatasetHandle
                                    initializer=_adopt, initargs=(configs, data))
     try:
         remote = {i: pool.submit(_worker_cell, i)
-                  for i in range(len(configs)) if i % (workers + 1)}
-        cells = []
-        for i, config in enumerate(configs):
+                  for i in range(1, len(configs)) if i % (workers + 1)}
+        cells = [first]
+        for i in range(1, len(configs)):
             for future in remote.values():  # a failed worker stops the grid now
                 if future.done():
                     future.result()
-            cells.append(None if i in remote else train(config, data)[1])
+            cells.append(None if i in remote else train(configs[i], data)[1])
         for i, future in remote.items():
             cells[i] = future.result()
         return cells
@@ -209,13 +223,19 @@ def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
     order. Diverged cells are dropped from the rows and listed in
     ``failed``. A list passed as ``records`` receives the same records.
 
-    Cells train at once on every CPU the process may use: forked worker
-    processes train some, this process the rest. Limit them with the
-    process's CPU affinity (``taskset -c 0`` trains every cell here).
+    Cells train at once on every CPU the process may use, when a cell
+    keeps one core busy: the first cell trains here and is timed, then
+    forked worker processes train some of the others, this process the
+    rest. That needs numpy's BLAS to run one thread per process
+    (``OPENBLAS_NUM_THREADS=1`` or ``OMP_NUM_THREADS=1``), or matrices
+    too small for it to thread. A first cell that kept more cores busy
+    means BLAS threads already use the CPUs, and every cell trains here.
+    Limit the CPUs with the process's affinity (``taskset -c 0`` trains
+    every cell here). Forking needs ``os.sched_getaffinity``, so on
+    macOS and Windows every cell trains here too, as it does while
+    another thread runs or in a daemonic process.
     Every record is bit-identical to the one a serial run gives; each
-    cell's ``training_duration_seconds`` is its own wall time. While
-    another thread runs, or in a daemonic process, nothing is forked and
-    every cell trains here.
+    cell's ``training_duration_seconds`` is its own wall time.
     An error in a worker's cell is raised here with its type and
     message, and a worker that dies raises ``BrokenProcessPool``.
     """

@@ -6,6 +6,7 @@ import os
 import signal
 import threading
 import time
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, replace
@@ -17,6 +18,7 @@ from actreg.cli import main
 from actreg.datasets import synth_blobs
 from actreg.errors import ParseError, ValidationError
 from actreg.models import ModelSpec
+from actreg import sweep
 from actreg.records import ExperimentRecord
 from actreg.sweep import (DEFAULT_LAMBDAS, SweepReport, load_sweep,
                           run_lambda_sweep, save_sweep)
@@ -299,13 +301,24 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture
+def one_core_cells(monkeypatch):
+    """The sweep reads its first cell as one that kept one core busy.
+
+    A cell of these tests lasts a few milliseconds, too short to time: the
+    kernel books other threads' CPU time (BLAS threads starting, say) to
+    the process in ticks of that size."""
+    monkeypatch.setattr("actreg.sweep.process_time", time.perf_counter)
+
+
 def _no_process_left(threads_before):
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads_before
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 8])
-def test_parallel_grid_equals_the_serial_grid(cpus, monkeypatch):
+def test_parallel_grid_equals_the_serial_grid(
+        cpus, monkeypatch, one_core_cells):
     monkeypatch.setattr("actreg.sweep.train", _train_noting_pid)
     grid = dict(lambdas=(0.0, 1e-2, 1e308))
     monkeypatch.setattr("actreg.sweep._cpus", lambda: 1)
@@ -319,8 +332,9 @@ def test_parallel_grid_equals_the_serial_grid(cpus, monkeypatch):
     serial_pids, serial_cells = _pids_stripped(serial)
     pids, cells = _pids_stripped(parallel)
     assert set(serial_pids) == {os.getpid()}
-    # the caller trains every (workers + 1)-th cell, workers the others
-    workers = min(cpus, len(cells)) - 1
+    # the caller trains the first cell alone and then every (workers + 1)-th
+    # cell, workers the others
+    workers = min(cpus, len(cells) - 1) - 1
     assert [p == os.getpid() for p in pids] == \
         [i % (workers + 1) == 0 for i in range(len(cells))]
     assert len(set(pids) - {os.getpid()}) in range(1, workers + 1)
@@ -330,35 +344,40 @@ def test_parallel_grid_equals_the_serial_grid(cpus, monkeypatch):
     assert records == parallel.cells
 
 
-def test_an_error_in_a_worker_cell_reaches_the_caller(monkeypatch, tmp_path):
-    caller, raised = os.getpid(), tmp_path / "raised"
+def test_an_error_in_a_worker_cell_reaches_the_caller(
+        monkeypatch, one_core_cells):
+    caller, delivered = os.getpid(), threading.Event()
     trained = []
+    set_exception = Future.set_exception
+
+    def set_exception_noted(future, exc):
+        set_exception(future, exc)
+        delivered.set()
 
     def train_failing_in_workers(config, data):
         if os.getpid() != caller:
-            raised.touch()
             raise ValidationError(f"no cell at lam={config.lam:g} seed={config.seed}")
         trained.append((config.lam, config.seed))
-        for _ in range(1000):  # until a worker's cell has failed
-            if raised.exists():
-                break
-            time.sleep(0.01)
-        time.sleep(0.5)  # for its error to reach this process
+        if len(trained) > 1:  # hold this cell until the worker's error is here
+            assert delivered.wait(30)
         return train(config, data)
 
+    monkeypatch.setattr(Future, "set_exception", set_exception_noted)
     monkeypatch.setattr("actreg.sweep.train", train_failing_in_workers)
     monkeypatch.setattr("actreg.sweep._cpus", lambda: 2)
     threads = threading.active_count()
     with _deadline(60), pytest.raises(ValidationError) as info:
-        _sweep()
-    # (0, 42) trains here; (0, 123) is the first cell a worker trains
+        _sweep(lambdas=(0.0, 1e-3, 1e-2))
+    # (0, 42) trains here before the fork and (0, 123) in the worker, which
+    # fails while this process trains (0.001, 42)
     assert type(info.value) is ValidationError
     assert str(info.value) == "no cell at lam=0 seed=123"
-    assert trained == [(0.0, 42)]  # the caller's next cell never started
+    assert trained == [(0.0, 42), (1e-3, 42)]  # (0.01, 42) never started
     _no_process_left(threads)
 
 
-def test_a_worker_that_dies_breaks_the_sweep_without_a_hang(monkeypatch):
+def test_a_worker_that_dies_breaks_the_sweep_without_a_hang(
+        monkeypatch, one_core_cells):
     caller = os.getpid()
 
     def train_dying_in_workers(config, data):
@@ -374,7 +393,8 @@ def test_a_worker_that_dies_breaks_the_sweep_without_a_hang(monkeypatch):
     _no_process_left(threads)
 
 
-def test_no_process_is_forked_while_another_thread_runs(monkeypatch):
+def test_no_process_is_forked_while_another_thread_runs(
+        monkeypatch, one_core_cells):
     monkeypatch.setattr("actreg.sweep._cpus", lambda: 4)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     stop = threading.Event()
@@ -390,11 +410,30 @@ def test_no_process_is_forked_while_another_thread_runs(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_no_process_is_forked_when_the_first_cell_kept_two_cores_busy(
+        monkeypatch):
+    # a process clock running at twice the wall clock: BLAS threads on two
+    # cores, which a worker would only contend with
+    monkeypatch.setattr("actreg.sweep._cpus", lambda: 4)
+    monkeypatch.setattr("actreg.sweep.process_time",
+                        lambda: 2 * time.perf_counter())
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    report = _sweep()
+    assert [c.status for c in report.cells] == ["ok"] * 4
+    assert multiprocessing.active_children() == []
+
+
+def test_only_a_process_that_can_read_its_affinity_forks(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert sweep._cpus() == 1
+
+
 def _statuses_of_a_sweep():
     return [c.status for c in _sweep().cells]
 
 
-def test_a_pool_worker_trains_its_sweep_itself(monkeypatch):
+def test_a_pool_worker_trains_its_sweep_itself(
+        monkeypatch, one_core_cells):
     # a multiprocessing.Pool worker is daemonic and may not fork
     monkeypatch.setattr("actreg.sweep._cpus", lambda: 4)
     with multiprocessing.get_context("fork").Pool(1) as pool:
