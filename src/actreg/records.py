@@ -193,24 +193,29 @@ def record_filename(record: ExperimentRecord) -> str:
             f"{glia}_lam{record.lam:g}_seed{record.seed}_{digest}.json")
 
 
-def save_record(record: ExperimentRecord, directory) -> Path:
-    """Validate and atomically write a record; returns the final path."""
-    validate_record(record)
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    final = d / record_filename(record)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+def _write_atomically(path: Path, text: str) -> Path:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory, so a failed write leaves whatever ``path`` held before."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(record.to_json_dict(), fh, indent=2, sort_keys=True,
-                      allow_nan=False)
-            fh.write("\n")
-        os.replace(tmp, final)
+            fh.write(text)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return final
+    return path
+
+
+def save_record(record: ExperimentRecord, directory) -> Path:
+    """Validate and atomically write a record; returns the final path."""
+    validate_record(record)
+    return _write_atomically(
+        Path(directory) / record_filename(record),
+        json.dumps(record.to_json_dict(), indent=2, sort_keys=True,
+                   allow_nan=False) + "\n")
 
 
 def load_record(path) -> ExperimentRecord:

@@ -26,8 +26,8 @@ from .analysis import Table
 from .datasets import DatasetHandle
 from .errors import ParseError, ValidationError
 from .models import ModelSpec
-from .records import (ExperimentRecord, plain_int, plain_number,
-                      record_from_dict, validate_record)
+from .records import (ExperimentRecord, _write_atomically, plain_int,
+                      plain_number, record_from_dict, validate_record)
 from .training import RunConfig, train
 
 
@@ -99,14 +99,12 @@ class SweepReport:
 
 def save_sweep(report: SweepReport, path) -> Path:
     """Write the report's cells as standard JSON, each checked as
-    ``save_record`` checks a record."""
+    ``save_record`` checks a record, and replace ``path`` atomically as
+    ``save_record`` does."""
     for cell in report.cells:
         validate_record(cell)
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(report.to_json_dict(), indent=2, allow_nan=False)
-                 + "\n", encoding="utf-8")
-    return p
+    return _write_atomically(Path(path), json.dumps(
+        report.to_json_dict(), indent=2, allow_nan=False) + "\n")
 
 
 def load_sweep(path) -> SweepReport:
@@ -170,42 +168,31 @@ def _train_cells(configs: list[RunConfig], data: DatasetHandle
     The first cell trains here, timed in wall and process CPU time. All
     cells share one model and batch size, so the first shows how many
     cores a cell keeps busy. If that rounds to one core, with c CPUs
-    ``min(c, cells - 1) - 1`` workers are forked and train the cells
-    whose index is not a multiple of the worker count plus one; this
-    process trains the rest through ``train``. A cell that kept more
-    cores busy (a BLAS with several threads) leaves no core idle: a
-    second process would only contend for them, so no worker starts and
-    every cell trains here. A first cell of a few milliseconds is too
-    short to time well, but either route gives the same records.
+    ``min(c, cells - 1)`` workers are forked, when that is at least two
+    (one would only take this process's place), and each takes the next
+    remaining cell as it frees up while this process waits. A cell that
+    kept more cores busy (a BLAS with several threads) leaves no core
+    idle: a second process would only contend for them, so no worker
+    starts and every cell trains here. A first cell of a few
+    milliseconds is too short to time well, but either route gives the
+    same records.
     """
     wall, cpu = perf_counter(), process_time()
     first = train(configs[0], data)[1]
     cores = (process_time() - cpu) / (perf_counter() - wall)
-    workers = (min(_cpus(), len(configs) - 1) - 1
-               if round(cores) <= 1 and _may_fork() else 0)
-    pool = None
-    if workers > 0:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        # fork, not spawn: spawn re-runs the caller's __main__, and a
-        # fork shares the dataset with the workers copy-on-write
-        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                   initializer=_adopt, initargs=(configs, data))
+    workers = min(_cpus(), len(configs) - 1)
+    if round(cores) > 1 or workers < 2 or not _may_fork():
+        return [first] + [train(c, data)[1] for c in configs[1:]]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # fork, not spawn: spawn re-runs the caller's __main__, and a fork
+    # shares the dataset with the workers copy-on-write
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_adopt, initargs=(configs, data))
     try:
-        remote = {i: pool.submit(_worker_cell, i)
-                  for i in range(1, len(configs)) if i % (workers + 1)}
-        cells = [first]
-        for i in range(1, len(configs)):
-            for future in remote.values():  # a failed worker stops the grid now
-                if future.done():
-                    future.result()
-            cells.append(None if i in remote else train(configs[i], data)[1])
-        for i, future in remote.items():
-            cells[i] = future.result()
-        return cells
+        return [first, *pool.map(_worker_cell, range(1, len(configs)))]
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
 
 
 def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
@@ -225,19 +212,22 @@ def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
 
     Cells train at once on every CPU the process may use, when a cell
     keeps one core busy: the first cell trains here and is timed, then
-    forked worker processes train some of the others, this process the
-    rest. That needs numpy's BLAS to run one thread per process
+    one forked worker process per CPU takes each of the others as it
+    frees up. That needs numpy's BLAS to run one thread per process
     (``OPENBLAS_NUM_THREADS=1`` or ``OMP_NUM_THREADS=1``), or matrices
     too small for it to thread. A first cell that kept more cores busy
     means BLAS threads already use the CPUs, and every cell trains here.
     Limit the CPUs with the process's affinity (``taskset -c 0`` trains
-    every cell here). Forking needs ``os.sched_getaffinity``, so on
-    macOS and Windows every cell trains here too, as it does while
-    another thread runs or in a daemonic process.
+    every cell here, as does a grid of two cells). Forking needs
+    ``os.sched_getaffinity``, so on macOS and Windows every cell trains
+    here too, as it does while another thread runs or in a daemonic
+    process.
     Every record is bit-identical to the one a serial run gives; each
     cell's ``training_duration_seconds`` is its own wall time.
-    An error in a worker's cell is raised here with its type and
-    message, and a worker that dies raises ``BrokenProcessPool``.
+    The first cell in grid order whose training raises stops the grid:
+    its error is raised here with its type and message, and cells no
+    worker has taken are cancelled. A worker that dies raises
+    ``BrokenProcessPool``.
     """
     epochs = plain_int("epochs", epochs, 1)
     lambdas = sorted(set(float(plain_number("lam", l, 0)) for l in lambdas))

@@ -1,15 +1,18 @@
 """Lambda sweeps: baseline identity, aggregation, persistence."""
 
+import errno
 import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
-from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +170,37 @@ def test_sweep_files_hold_only_standard_json(tmp_path):
     path.write_text(text.replace("0.125", "1e999"))
     with pytest.raises(ParseError, match="'history' is not standard JSON"):
         load_sweep(path)
+
+
+SAVE_OVER_THE_SIZE_LIMIT = """
+import resource, signal, sys
+from actreg.sweep import SweepReport, load_sweep, save_sweep
+path = sys.argv[1]
+old = load_sweep(path)
+limit = len(open(path, "rb").read())
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+try:
+    save_sweep(SweepReport(old.cells * 20), path)
+except OSError as exc:
+    print(exc.errno)
+"""
+
+
+def test_a_failed_save_keeps_the_previous_report(tmp_path):
+    # save_sweep wrote in place, so a write that hit the file-size limit
+    # left a truncated report that load_sweep refused
+    report = _sweep()
+    path = save_sweep(report, tmp_path / "sweep.json")
+    package_dir = str(Path(sweep.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", SAVE_OVER_THE_SIZE_LIMIT, str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": package_dir})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [str(errno.EFBIG)]
+    assert load_sweep(path) == report
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
 
 
 def _parent_layout(report):
@@ -332,47 +366,67 @@ def test_parallel_grid_equals_the_serial_grid(
     serial_pids, serial_cells = _pids_stripped(serial)
     pids, cells = _pids_stripped(parallel)
     assert set(serial_pids) == {os.getpid()}
-    # the caller trains the first cell alone and then every (workers + 1)-th
-    # cell, workers the others
-    workers = min(cpus, len(cells) - 1) - 1
-    assert [p == os.getpid() for p in pids] == \
-        [i % (workers + 1) == 0 for i in range(len(cells))]
-    assert len(set(pids) - {os.getpid()}) in range(1, workers + 1)
+    # the caller trains the first cell and only it, workers the others
+    assert [p == os.getpid() for p in pids] == [True] + [False] * (len(cells) - 1)
+    assert len(set(pids[1:])) in range(1, min(cpus, len(cells) - 1) + 1)
     assert cells == serial_cells  # every field but the wall time, bit for bit
     assert [(c.lam, c.seed) for c in parallel.failed] == \
         [(c.lam, c.seed) for c in serial.failed] == [(1e308, 42), (1e308, 123)]
     assert records == parallel.cells
 
 
+def test_a_slow_cell_holds_up_only_its_worker(monkeypatch, one_core_cells):
+    # workers take cells as they free up: while one sleeps in the grid's
+    # second cell, the other trains every later cell
+    def train_slow_second_cell(config, data):
+        if (config.lam, config.seed) == (0.0, 123):
+            time.sleep(1)
+        return _train_noting_pid(config, data)
+
+    monkeypatch.setattr("actreg.sweep.train", train_slow_second_cell)
+    monkeypatch.setattr("actreg.sweep._cpus", lambda: 2)
+    threads = threading.active_count()
+    with _deadline(60):
+        report = _sweep(lambdas=(0.0, 1e-3, 1e-2))
+    _no_process_left(threads)
+    pids, _ = _pids_stripped(report)
+    assert pids[0] == os.getpid()
+    assert len({os.getpid(), pids[1], pids[2]}) == 3
+    assert set(pids[2:]) == {pids[2]}
+
+
+def test_a_two_cell_grid_forks_nothing(monkeypatch, one_core_cells):
+    # one worker would train the second cell while this process waited
+    monkeypatch.setattr("actreg.sweep._cpus", lambda: 8)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    report = _sweep(lambdas=(0.0,))
+    assert [c.status for c in report.cells] == ["ok"] * 2
+    assert multiprocessing.active_children() == []
+
+
 def test_an_error_in_a_worker_cell_reaches_the_caller(
-        monkeypatch, one_core_cells):
-    caller, delivered = os.getpid(), threading.Event()
-    trained = []
-    set_exception = Future.set_exception
+        monkeypatch, one_core_cells, tmp_path):
+    started = tmp_path / "started"
 
-    def set_exception_noted(future, exc):
-        set_exception(future, exc)
-        delivered.set()
-
-    def train_failing_in_workers(config, data):
-        if os.getpid() != caller:
+    def train_failing_at_lam_1e_3(config, data):
+        with open(started, "a") as fh:
+            fh.write(f"{config.lam:g} {config.seed}\n")
+        if config.lam == 1e-3:
+            # the grid's first failing cell fails after the later ones
+            time.sleep(0.25 if config.seed == 42 else 0)
             raise ValidationError(f"no cell at lam={config.lam:g} seed={config.seed}")
-        trained.append((config.lam, config.seed))
-        if len(trained) > 1:  # hold this cell until the worker's error is here
-            assert delivered.wait(30)
+        if config.lam > 1e-3:
+            time.sleep(0.5)  # time to cancel the cells no worker has taken
         return train(config, data)
 
-    monkeypatch.setattr(Future, "set_exception", set_exception_noted)
-    monkeypatch.setattr("actreg.sweep.train", train_failing_in_workers)
+    monkeypatch.setattr("actreg.sweep.train", train_failing_at_lam_1e_3)
     monkeypatch.setattr("actreg.sweep._cpus", lambda: 2)
     threads = threading.active_count()
     with _deadline(60), pytest.raises(ValidationError) as info:
-        _sweep(lambdas=(0.0, 1e-3, 1e-2))
-    # (0, 42) trains here before the fork and (0, 123) in the worker, which
-    # fails while this process trains (0.001, 42)
+        _sweep(lambdas=(0.0, 1e-3, 1e-2, 1e-1, 1.0), seeds=(42, 123, 456, 789))
     assert type(info.value) is ValidationError
-    assert str(info.value) == "no cell at lam=0 seed=123"
-    assert trained == [(0.0, 42), (1e-3, 42)]  # (0.01, 42) never started
+    assert str(info.value) == "no cell at lam=0.001 seed=42"
+    assert len(started.read_text().splitlines()) < 5 * 4
     _no_process_left(threads)
 
 
