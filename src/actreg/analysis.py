@@ -17,9 +17,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .records import ExperimentRecord
-from .stats import (_shared_draws, bootstrap_ci, coefficient_of_variation,
-                    one_way_anova, rank_variance, rank_within, tukey_hsd,
-                    two_way_anova_type2)
+from .stats import (bootstrap_ci, coefficient_of_variation, one_way_anova,
+                    rank_variance, rank_within, tukey_hsd, two_way_anova_type2)
 
 RESPONSES = ("test_accuracy", "test_loss", "activation_energy",
              "energy_mj_total", "energy_mj_per_correct")
@@ -156,17 +155,17 @@ def analyze_records(records: list[ExperimentRecord],
             means = [float(np.mean(by_cell[a, d])) for a in archs]
             for a, rank in zip(archs, rank_within(means)):
                 ranks_by_arch[a].append(float(rank))
-    # successive architectures of equal size share one resample draw
-    with _shared_draws():
-        for a in archs:
-            vals = by_arch[a]
-            ci = bootstrap_ci(vals, rng=0) if len(vals) >= 2 else None
-            cv = coefficient_of_variation(vals) if len(vals) >= 2 else None
-            rv = rank_variance(ranks_by_arch[a]) if ranks_by_arch[a] else None
-            summary.rows.append([a, len(vals), float(np.mean(vals)),
-                                 None if ci is None else ci.lower,
-                                 None if ci is None else ci.upper,
-                                 cv, rv])
+    # bootstrap_ci is called by name once per architecture, the call site
+    # bench/tracing.py wraps; equal sizes share one cached draw
+    for a in archs:
+        vals = by_arch[a]
+        ci = bootstrap_ci(vals, rng=0) if len(vals) >= 2 else None
+        cv = coefficient_of_variation(vals) if len(vals) >= 2 else None
+        rv = rank_variance(ranks_by_arch[a]) if ranks_by_arch[a] else None
+        summary.rows.append([a, len(vals), float(np.mean(vals)),
+                             None if ci is None else ci.lower,
+                             None if ci is None else ci.upper,
+                             cv, rv])
     if len(archs) >= 2:
         tables.append(summary)
     return tables

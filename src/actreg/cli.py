@@ -274,6 +274,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"warning: analysis dropped {failed + lacking} of {len(records)} "
               f"records: {failed} did not complete, {lacking} lack "
               f"{args.response!r}", file=sys.stderr)
+    lams = sorted({r.lam for r in records
+                   if r.status == "ok" and getattr(r, args.response) is not None})
+    if len(lams) > 1:
+        print(f"warning: analysis pools records at lambda "
+              f"{', '.join(f'{lam:g}' for lam in lams)}: tables group by "
+              f"architecture and dataset only", file=sys.stderr)
     text = "\n\n".join(t.to_text() for t in tables)
     print(text)
     if args.out_dir:

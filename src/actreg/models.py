@@ -177,7 +177,7 @@ _KAIMING = {"neuronal1_w", "neuronal2_w", "kinetic1_w", "hidden1_w",
             "hidden2_w", "conv1_w", "conv2_w", "dense_w"}
 
 
-def _fans(name: str, shape: tuple[int, ...]) -> tuple[int, int]:
+def _fans(shape: tuple[int, ...]) -> tuple[int, int]:
     if len(shape) == 2:
         return shape[0], shape[1]
     # conv kernels (o, c, kh, kw): receptive field times channels
@@ -191,7 +191,7 @@ def _init_params(spec: ModelSpec, rng: np.random.Generator) -> dict[str, Tensor]
         if name.endswith("_b"):
             params[name] = Tensor(np.zeros(shape), requires_grad=True)
             continue
-        fan_in, fan_out = _fans(name, shape)
+        fan_in, fan_out = _fans(shape)
         if name in _KAIMING:
             bound = math.sqrt(6.0 / fan_in)
         else:

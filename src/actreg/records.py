@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -195,9 +194,15 @@ def record_filename(record: ExperimentRecord) -> str:
 
 def _write_atomically(path: Path, text: str) -> Path:
     """Write ``text`` to ``path`` through a temporary file in the same
-    directory, so a failed write leaves whatever ``path`` held before."""
+    directory, so a failed write leaves whatever ``path`` held before.
+
+    The file is created with mode 0666 less the umask, as ``open`` would,
+    under a unique ``.tmp`` name that ``load_records`` does not read.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                 | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

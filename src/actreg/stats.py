@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,9 +30,6 @@ BOOTSTRAP_RESAMPLES = 1000
 BOOTSTRAP_LEVEL = 95.0
 # resamples gathered at once: 128 rows of a 300-value sample are 300 KB
 _BOOTSTRAP_BLOCK = 128
-# {(int seed, n): resample index matrix} of the last int-seeded draw
-# inside a _shared_draws() block, else None; set only by _shared_draws
-_draws: dict[tuple[int, int], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -312,38 +308,17 @@ def tukey_hsd(groups: Mapping[str, Sequence[float]]) -> list[TukeyPair]:
             for (na, nb), diff, q, p in zip(pairs, diffs, qs, ps)]
 
 
-@contextmanager
-def _shared_draws() -> Iterator[None]:
-    """Inside the block, successive ``bootstrap_ci`` calls with the same
-    int seed and sample size share one resample index matrix.
+@functools.lru_cache(maxsize=1)
+def _seeded_indices(seed: int, n: int) -> np.ndarray:
+    """BOOTSTRAP_RESAMPLES rows of ``n`` indices drawn with replacement
+    from an int seed, read-only.
 
-    An int seed always draws the same matrix for a given size, so sharing
-    it changes no interval. One matrix is held at a time, released before
-    a call with another seed or size draws its own, so the block never
-    holds more than one call did without it. A Generator still draws
-    afresh on every call, consuming its stream. The matrix is dropped on
-    exit, and the previous state returns. The switch is process-wide,
-    not per thread.
+    An int seed always draws the same matrix for a given size, so
+    successive equal calls share one draw and no interval changes. Only
+    the last (seed, n) is kept: 8 KB per sample value.
     """
-    global _draws
-    previous = _draws
-    _draws = {}
-    try:
-        yield
-    finally:
-        _draws = previous
-
-
-def _resample_indices(rng: Seed, n: int) -> np.ndarray:
-    """BOOTSTRAP_RESAMPLES rows of ``n`` indices drawn with replacement."""
-    if _draws is None or isinstance(rng, np.random.Generator):
-        return make_generator(rng).integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
-    key = (plain_int("seed", rng, 0), n)
-    idx = _draws.get(key)
-    if idx is None:
-        _draws.clear()
-        idx = _draws[key] = make_generator(key[0]).integers(
-            0, n, size=(BOOTSTRAP_RESAMPLES, n))
+    idx = make_generator(seed).integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
+    idx.flags.writeable = False
     return idx
 
 
@@ -356,7 +331,10 @@ def bootstrap_ci(data: Sequence[float], *, rng: Seed) -> BootstrapCI:
     supplies the seed, so identical inputs give identical intervals.
     """
     arr = _sample(data, "data")
-    idx = _resample_indices(rng, arr.size)
+    if isinstance(rng, np.random.Generator):  # consumes the stream every call
+        idx = rng.integers(0, arr.size, size=(BOOTSTRAP_RESAMPLES, arr.size))
+    else:
+        idx = _seeded_indices(plain_int("seed", rng, 0), arr.size)
     # gathered a block of resamples at a time: each row's mean is the
     # same, and no resamples-by-n float array is made
     means = np.empty(BOOTSTRAP_RESAMPLES)

@@ -222,8 +222,9 @@ def run_lambda_sweep(data: DatasetHandle, template: ModelSpec,
     ``os.sched_getaffinity``, so on macOS and Windows every cell trains
     here too, as it does while another thread runs or in a daemonic
     process.
-    Every record is bit-identical to the one a serial run gives; each
-    cell's ``training_duration_seconds`` is its own wall time.
+    Every record is bit-identical to the one a serial run gives at the
+    same BLAS thread count; each cell's ``training_duration_seconds`` is
+    its own wall time.
     The first cell in grid order whose training raises stops the grid:
     its error is raised here with its type and message, and cells no
     worker has taken are cancelled. A worker that dies raises

@@ -120,7 +120,22 @@ def test_summary_intervals_equal_standalone_bootstraps(sizes):
                           rng=0)
         assert n == sizes[archs.index(arch)]
         assert (lower.hex(), upper.hex()) == (ci.lower.hex(), ci.upper.hex())
-    assert stats._draws is None
+
+
+def test_three_responses_of_one_record_set_make_one_draw():
+    # every architecture holds 10 records, and each summary bootstraps
+    # with seed 0, so all three analyses share the first one's draw
+    gen = make_generator(8)
+    records = [_record(arch, dataset, seed, float(gen.uniform(0.5, 0.9)),
+                       test_loss=float(gen.uniform(0.2, 0.6)),
+                       activation_energy=float(gen.uniform(50.0, 150.0)))
+               for arch in ("bimodal", "mlp", "physics")
+               for dataset in ("s1", "s2") for seed in range(5)]
+    stats._seeded_indices.cache_clear()
+    for response in ("test_accuracy", "test_loss", "activation_energy"):
+        assert any("summary" in t.title for t in analyze_records(records, response))
+    info = stats._seeded_indices.cache_info()
+    assert (info.misses, info.hits) == (1, 8)
 
 
 def test_table_rendering_and_csv():

@@ -295,6 +295,23 @@ def test_analyze_says_which_records_it_dropped(tmp_path, capsys):
             "1 lack 'test_accuracy'") in captured.err
 
 
+@pytest.mark.parametrize("lams", [(0.0, 1e-3), (1e-3,)])
+def test_analyze_says_when_it_pools_lambda_values(lams, tmp_path, capsys):
+    base = dict(dataset="synth", hidden_dim=8, input_dim=6, output_dim=3, lr=1e-3,
+                batch_size=32, max_epochs=2, patience=2, epochs_run=2, status="ok",
+                test_loss=0.4, activation_energy=10.0, param_count=100)
+    for seed, arch in enumerate(["mlp"] * 4 + ["bimodal"] * 4):
+        save_record(ExperimentRecord(architecture=arch, seed=seed,
+                                     lam=lams[seed % len(lams)],
+                                     test_accuracy=0.7 + 0.01 * seed, **base), tmp_path)
+    assert _run("analyze", "--records", str(tmp_path)) == 0
+    captured = capsys.readouterr()
+    assert "anova" in captured.out
+    warned = [line for line in captured.err.splitlines() if "pools" in line]
+    assert warned == (["warning: analysis pools records at lambda 0, 0.001: tables "
+                       "group by architecture and dataset only"] if len(lams) > 1 else [])
+
+
 def test_analyze_insufficient_levels(tmp_path, capsys):
     assert _run(*SMALL_RUN, "--records-dir", str(tmp_path)) == 0
     capsys.readouterr()

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import stat
 
 import pytest
 
@@ -10,6 +11,7 @@ from actreg.errors import ParseError, ValidationError
 from actreg.records import (ExperimentRecord, load_record, load_records,
                             record_filename, record_from_dict, save_record,
                             validate_record)
+from actreg.sweep import SweepReport, save_sweep
 
 
 def _record(**overrides):
@@ -110,6 +112,19 @@ def test_save_leaves_no_temp_files_behind(tmp_path):
     names = sorted(os.listdir(tmp_path))
     assert names == sorted([record_filename(_record()),
                             record_filename(_record(seed=43))])
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_saved_records_and_sweep_reports_follow_the_umask(umask, mode, tmp_path):
+    # a temp file from mkstemp kept mode 0600 whatever the umask
+    old = os.umask(umask)
+    try:
+        paths = [save_record(_record(), tmp_path),
+                 save_sweep(SweepReport([_record()]), tmp_path / "sweep.json")]
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in paths] == [mode, mode]
+    assert sorted(os.listdir(tmp_path)) == sorted(p.name for p in paths)
 
 
 def test_save_refuses_invalid_record(tmp_path):

@@ -337,47 +337,46 @@ def test_bootstrap_blocks_equal_the_one_shot_resample_matrix(n):
                                             np.percentile(means, 97.5))
 
 
-def test_shared_draws_reuse_the_matrix_of_successive_equal_calls():
+def test_successive_equal_calls_share_one_cached_draw():
     data = make_generator(4).normal(size=40)
-    calls = ((40, 0), (40, 0), (30, 0), (40, 1), (40, 0))
-    alone = [bootstrap_ci(data[:n], rng=seed) for n, seed in calls]
-    with stats._shared_draws():
-        shared = [bootstrap_ci(data[:n], rng=seed) for n, seed in calls]
-        first = stats._resample_indices(0, 40)
-        assert stats._resample_indices(0, 40) is first
-        # one matrix is held at a time: another seed or size replaces it
-        stats._resample_indices(1, 40)
-        assert list(stats._draws) == [(1, 40)]
-        with pytest.raises(ValidationError, match="seed"):
-            bootstrap_ci(data, rng=-1)
-    assert shared == alone
-    assert stats._draws is None
+    stats._seeded_indices.cache_clear()
+    for n, seed in ((40, 0), (40, 0), (30, 0), (40, 1), (40, 0)):
+        ci = bootstrap_ci(data[:n], rng=seed)
+        means = data[:n][make_generator(seed).integers(
+            0, n, size=(BOOTSTRAP_RESAMPLES, n))].mean(axis=1)
+        assert (ci.lower, ci.upper) == (np.percentile(means, 2.5),
+                                        np.percentile(means, 97.5))
+    # one matrix is held at a time: another seed or size replaces it
+    info = stats._seeded_indices.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 4, 1)
+    first = stats._seeded_indices(0, 40)
+    assert stats._seeded_indices(0, 40) is first
+    assert stats._seeded_indices(1, 40) is not first
+    assert stats._seeded_indices(0, 40) is not first
+    with pytest.raises(ValidationError, match="seed"):
+        bootstrap_ci(data, rng=-1)
 
 
-def test_a_generator_draws_afresh_inside_shared_draws():
-    # one new draw per call, consuming the stream as outside the scope
+def test_the_cached_draw_is_read_only():
+    idx = stats._seeded_indices(0, 40)
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        idx[0, 0] = 1
+
+
+def test_a_generator_draws_afresh_on_every_call():
+    # one new draw per call, consuming the stream; the cache is untouched
     data = make_generator(4).normal(size=40)
-    outside, inside = make_generator(9), make_generator(9)
-    expected = [bootstrap_ci(data, rng=outside) for _ in range(2)]
-    with stats._shared_draws():
-        got = [bootstrap_ci(data, rng=inside) for _ in range(2)]
-        assert stats._draws == {}
-    assert got == expected and expected[0] != expected[1]
-    assert inside.integers(1 << 62) == outside.integers(1 << 62)
-
-
-def test_shared_draws_hold_nothing_after_exit_or_an_error():
-    with stats._shared_draws():
-        outer = stats._draws
-        with stats._shared_draws():
-            bootstrap_ci([1.0, 2.0, 4.0], rng=0)
-        assert stats._draws is outer and outer == {}
-    assert stats._draws is None
-    with pytest.raises(RuntimeError):
-        with stats._shared_draws():
-            bootstrap_ci([1.0, 2.0, 4.0], rng=0)
-            raise RuntimeError
-    assert stats._draws is None
+    direct, gen = make_generator(9), make_generator(9)
+    before = stats._seeded_indices.cache_info()
+    cis = [bootstrap_ci(data, rng=gen) for _ in range(2)]
+    for ci in cis:
+        means = data[direct.integers(0, 40, size=(BOOTSTRAP_RESAMPLES, 40))].mean(axis=1)
+        assert (ci.lower, ci.upper) == (np.percentile(means, 2.5),
+                                        np.percentile(means, 97.5))
+    assert cis[0] != cis[1]
+    assert gen.integers(1 << 62) == direct.integers(1 << 62)
+    assert stats._seeded_indices.cache_info() == before
 
 
 # ---------------------------------------------------------------- wilcoxon
