@@ -143,28 +143,22 @@ def energy_per_correct(joules: float, n_correct: int) -> float | None:
     return 1000.0 * joules / n_correct
 
 
-# Characters of a replay file read at a time, by the plain-log check and by
+# Characters of a replay file read at a time, by the plain-log scan and by
 # the line parser: large enough that the per-block numpy calls cost little,
 # small enough that a block's bytes, lines and tokens stay a few MB.
 _BLOCK_CHARS = 1 << 20
 
 # What a plain log's data lines may hold: the bytes of decimal numbers, the
-# tab and the newline, and the letters of the phase names. The phase field
-# is checked exactly; a letter in a number makes np.loadtxt refuse it or
-# read NaN. NaN fails the timestamp and wattage checks, and the line parser
-# accepts it in a trailing field too.
+# tab and the newline, and the letters of the phase names. No other byte
+# reaches np.loadtxt, which reads some of them unlike float(): it takes a
+# control byte such as \x1f beside a number as space, and its bytes column
+# drops a phase's trailing NULs, so "training\x00" would read as a name.
+# A letter in a number makes np.loadtxt refuse it or read NaN. NaN fails the
+# timestamp and wattage checks, and the line parser accepts it in a trailing
+# field too.
 _DATA_BYTES = b"0123456789+-.eE\t\n" + "".join(PHASES).encode()
 _COMMENT_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
-# The phase names differ in length, so the length of a line's third field
-# names its phase (a length no name has reads -1). Each name with the tab
-# before it is 8 to 16 bytes, so the 8 bytes from that tab and the 8 that
-# end the name cover it, whichever byte follows it.
-_PHASE_BY_LENGTH = np.full(max(map(len, PHASES)) + 2, -1, np.int8)
-_PHASE_BY_LENGTH[[len(name) for name in PHASES]] = range(len(PHASES))
-_PHASE_HEAD, _PHASE_TAIL = (
-    np.array([int.from_bytes(f"\t{name}".encode()[part], "little") for name in PHASES],
-             np.uint64)
-    for part in (slice(8), slice(-8, None)))
+_PHASE_NAMES = np.array(PHASES, "S")
 
 
 def replay_source(path) -> PowerTrace:
@@ -203,49 +197,24 @@ def _read_plain(fh) -> PowerTrace | None:
     """The trace of a plain log, read by np.loadtxt, or None.
 
     None means the log is not plain or a value fails a check. ``fh`` is
-    the log as text, at its start.
+    the log as text, at its start. One scan of its bytes, in blocks of
+    ``_BLOCK_CHARS`` completed to a line end, counts the leading comment
+    lines and takes the field count from the first data line; it refuses
+    a block with a byte outside ``_DATA_BYTES`` or another tab count than
+    ``fields - 1`` per line. np.loadtxt then reads every field, so numpy
+    itself refuses a row of another width or a number float() refuses.
+    The phase is read as bytes one longer than the longest name, so a
+    longer field equals no name, and its code is the index of the name
+    those bytes equal.
     """
-    plain = _plain_phases(fh.buffer)
-    fh.seek(0)
-    if plain is None:
-        return None
-    fields, comments, phase = plain
-    if not len(phase):
-        return PowerTrace.of(())  # np.loadtxt warns on a log with no data
-    # np.loadtxt gets the open file: given a path, it picks a decompressor
-    # by the file name's suffix and would not read the bytes checked above.
-    # It reads the trailing fields too, so one that float() refuses fails here.
-    try:
-        columns = np.loadtxt(fh, delimiter="\t", comments=None, skiprows=comments,
-                             usecols=(0, 1, *range(3, fields)), max_rows=len(phase),
-                             ndmin=2)
-    except ValueError:
-        return None
-    t, w = columns[:, :2].T.copy()
-    # the row count differs only if the file changed since it was checked
-    if len(t) != len(phase) or _bad_rows(t, w, None).any():
-        return None
-    return PowerTrace(t, w, phase)
-
-
-def _plain_phases(fh) -> tuple[int, int, np.ndarray] | None:
-    """The fields per data line, comment lines and phase codes of a plain log.
-
-    None means the log is not plain.
-
-    ``fh`` is the log opened in binary mode. One pass reads it in blocks
-    of ``_BLOCK_CHARS`` bytes completed to a line end, so memory stays one
-    block plus a byte per sample.
-    """
-    if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-        fh.seek(0)
-    phases = [np.zeros(0, np.int8)]
-    fields = comments = 0
-    header = True  # no data line yet
-    while block := fh.read(_BLOCK_CHARS) + fh.readline():
+    raw = fh.buffer
+    if raw.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        raw.seek(0)
+    fields = comments = lines = 0
+    while block := raw.read(_BLOCK_CHARS) + raw.readline():
         if not block.endswith(b"\n"):
             block += b"\n"  # the last line has no line end
-        if header:
+        if not fields:  # no data line yet
             start = 0
             while block.startswith(b"#", start):
                 start = block.index(b"\n", start) + 1
@@ -255,39 +224,34 @@ def _plain_phases(fh) -> tuple[int, int, np.ndarray] | None:
             block = block[start:]
             if not block:
                 continue
-            header = False
             fields = block.count(b"\t", 0, block.index(b"\n")) + 1
             if not 3 <= fields <= 5:
                 return None
-        codes = _plain_block(block, fields)
-        if codes is None:
+        n = block.count(b"\n")
+        if block.translate(None, _DATA_BYTES) or block.count(b"\t") != (fields - 1) * n:
             return None
-        phases.append(codes)
-    return fields, comments, np.concatenate(phases)
-
-
-def _plain_block(block: bytes, fields: int) -> np.ndarray | None:
-    """Phase codes of a block of data lines, or None if one of them is not plain.
-
-    The block is whole lines, at least one, and each must have ``fields`` fields.
-    """
-    if block.translate(None, _DATA_BYTES):
+        lines += n
+    fh.seek(0)
+    if not lines:
+        return PowerTrace.of(())  # np.loadtxt warns on a log with no data
+    # np.loadtxt gets the open file: given a path, it picks a decompressor
+    # by the file name's suffix and would not read the bytes scanned above.
+    # It reads to the file's end (max_rows would warn on a blank line), so
+    # it returns other rows than the lines scanned if one of them is blank
+    # or the log changed since it was scanned.
+    dtype = f"f8,f8,S{_PHASE_NAMES.itemsize + 1}" + ",f8" * (fields - 3)
+    try:
+        rows = np.loadtxt(fh, dtype, delimiter="\t", comments=None,
+                          skiprows=comments, ndmin=1)
+    except ValueError:
         return None
-    raw = np.frombuffer(block, np.uint8)
-    ends = np.flatnonzero(raw <= ord("\n"))  # the tabs and newlines
-    separators = np.frombuffer(b"\t" * (fields - 1) + b"\n", np.uint8)
-    if len(ends) % fields or not (raw[ends].reshape(-1, fields) == separators).all():
+    t, w = rows["f0"].copy(), rows["f1"].copy()
+    phase = np.full(len(rows), -1, np.int8)
+    for code, name in enumerate(_PHASE_NAMES):
+        phase[rows["f2"] == name] = code
+    if len(rows) != lines or (phase < 0).any() or _bad_rows(t, w, None).any():
         return None
-    field, end = ends[1::fields] + 1, ends[2::fields]
-    phase = _PHASE_BY_LENGTH.take(end - field, mode="clip")
-    if (phase < 0).any():
-        return None
-    # words[i] is block[i:i + 8] read as one number
-    words = np.ndarray((len(block) - 7,), "<u8", block, strides=(1,))
-    if ((words[field - 1] != _PHASE_HEAD[phase]).any()
-            or (words[end - 8] != _PHASE_TAIL[phase]).any()):
-        return None
-    return phase
+    return PowerTrace(t, w, phase)
 
 
 def _read_lines(fh) -> PowerTrace:
@@ -311,44 +275,74 @@ def _parse_block(lines: list[str], lines_before: int,
 
     ``lines_before`` counts the file's lines ahead of the block and
     ``last_t`` is the timestamp of the last sample ahead of it. Every
-    check runs over the block's arrays; the first line that fails one is
-    then refused by ``_line_error``, which states the first check it fails.
-    A line holding a byte that is not UTF-8 fails before any other check.
+    check runs over the block's arrays. A block that fails one is read
+    again one line at a time, with the checks in order, and its first
+    bad line is refused; a byte that is not UTF-8 fails its line before
+    any other check.
     """
     text = "".join(lines)
-    undecodable = _undecodable(text, lines)
-    if undecodable is not None:
-        k, byte = undecodable
-        _parse_block(lines[:k], lines_before, last_t)  # a line before it may fail first
-        raise ParseError(f"byte {byte:#04x} is not UTF-8", line=lines_before + k + 1)
     comment = np.array(list(map(str.lstrip, lines)), dtype="U1") == "#"
     blank = np.fromiter(map(str.isspace, lines), bool, len(lines))
     rows = np.flatnonzero(~(comment | blank))
     # every line's fields are tokens of the block, comments and blank lines too
     fields = np.fromiter(map(str.count, lines, repeat("\t")), np.intp, len(lines)) + 1
-    # the columns stop at the first data line with a bad field count; it is
-    # the line refused unless a line before it fails another check
-    bad_count = (fields[rows] < 3) | (fields[rows] > 5)
-    m = int(np.argmax(bad_count)) if bad_count.any() else len(rows)
-    text = text.replace("\n", "\t")  # a newline ends a field too
-    tokens = text.split("\t")
-    del text  # the block is held once, as its tokens
-    tokens = np.array(tokens, dtype=object)
-    start = (np.cumsum(fields) - fields)[rows[:m]]
-    fields = fields[rows[:m]]
-    t = _floats(tokens[start])[0]
-    w = _floats(tokens[start + 1])[0]
-    phase = np.fromiter(map(_PHASE_CODE.get, tokens[start + 2], repeat(-1)), np.int8, m)
-    bad = _bad_rows(t, w, last_t) | (phase < 0)
-    for k in (3, 4):
-        has = fields > k
-        bad[has] |= _floats(tokens[start[has] + k])[1]
-    if bad.any() or m < len(rows):
-        j = int(np.argmax(bad)) if bad.any() else m
-        previous = float(t[j - 1]) if j else last_t
-        raise ParseError(_line_error(lines[rows[j]], previous),
-                         line=lines_before + int(rows[j]) + 1)
-    return PowerTrace(t, w, phase)
+    start, fields = (np.cumsum(fields) - fields)[rows], fields[rows]
+    try:
+        # surrogateescape reads a byte that is not UTF-8 as a lone surrogate,
+        # which UTF-8 cannot encode: UnicodeEncodeError is a ValueError
+        if not text.isascii():
+            text.encode("utf-8")
+        if ((fields < 3) | (fields > 5)).any():
+            raise ValueError("a data line has too few or too many fields")
+        tokens = text.replace("\n", "\t").split("\t")  # a newline ends a field too
+        del text  # the block is held once, as its tokens
+        tokens = np.array(tokens, dtype=object)
+        n = len(rows)
+        t = np.fromiter(map(float, tokens[start]), np.float64, n)
+        w = np.fromiter(map(float, tokens[start + 1]), np.float64, n)
+        phase = np.fromiter(map(_PHASE_CODE.__getitem__, tokens[start + 2]), np.int8, n)
+        for k in (3, 4):  # a trailing field must read as a float, then it is dropped
+            np.fromiter(map(float, tokens[start[fields > k] + k]), np.float64)
+        if not _bad_rows(t, w, last_t).any():
+            return PowerTrace(t, w, phase)
+    except (ValueError, KeyError):
+        pass
+    samples = []
+    for number, raw in enumerate(lines, lines_before + 1):
+        try:
+            raw.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"byte {ord(raw[exc.start]) - 0xDC00:#04x} is not UTF-8",
+                             line=number) from None
+        if raw.isspace() or raw.lstrip().startswith("#"):
+            continue
+        parts = raw.rstrip("\n").split("\t")
+        if not 3 <= len(parts) <= 5:
+            raise ParseError(f"expected 3 to 5 tab-separated fields, got {len(parts)}",
+                             line=number)
+        try:
+            t, w = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"non-numeric field: {exc}", line=number) from None
+        if not (math.isfinite(t) and math.isfinite(w)):
+            raise ParseError("non-finite timestamp or wattage", line=number)
+        if w < 0:
+            raise ParseError(f"negative wattage {w}", line=number)
+        if parts[2] not in PHASES:
+            raise ParseError(f"unknown phase {parts[2]!r}, expected one of {PHASES}",
+                             line=number)
+        for field in parts[3:]:
+            try:
+                float(field)
+            except ValueError:
+                raise ParseError(f"non-numeric auxiliary field {field!r}",
+                                 line=number) from None
+        if last_t is not None and t < last_t:
+            raise ParseError(f"timestamp {t} out of order (previous {last_t})",
+                             line=number)
+        last_t = t
+        samples.append((t, w, parts[2]))
+    return PowerTrace.of(samples)
 
 
 def _bad_rows(t: np.ndarray, w: np.ndarray, last_t: float | None) -> np.ndarray:
@@ -363,68 +357,6 @@ def _bad_rows(t: np.ndarray, w: np.ndarray, last_t: float | None) -> np.ndarray:
     if len(t) and last_t is not None:
         bad[0] |= t[0] < last_t
     return bad
-
-
-def _undecodable(text: str, lines: list[str]) -> tuple[int, int] | None:
-    """The index of the first line holding a byte that is not UTF-8, and that byte.
-
-    ``text`` is the lines joined. The log is decoded with
-    errors="surrogateescape", which reads each such byte as a lone
-    surrogate, the one kind of character UTF-8 cannot encode.
-    """
-    if text.isascii():
-        return None
-    try:
-        text.encode("utf-8")
-        return None
-    except UnicodeEncodeError as exc:
-        at = exc.start
-    k = int(np.searchsorted(np.cumsum(list(map(len, lines))), at, side="right"))
-    return k, ord(text[at]) - 0xDC00
-
-
-def _floats(tokens) -> tuple[np.ndarray, np.ndarray]:
-    """float() of every token, and which tokens float() refuses (they read NaN)."""
-    refused = np.zeros(len(tokens), bool)
-    try:
-        return np.fromiter(map(float, tokens), np.float64, len(tokens)), refused
-    except ValueError:
-        pass
-    values = np.full(len(tokens), np.nan)
-    for k, token in enumerate(tokens):
-        try:
-            values[k] = float(token)
-        except ValueError:
-            refused[k] = True
-    return values, refused
-
-
-def _line_error(raw: str, last_t: float | None) -> str:
-    """Why one replay line is refused: the first check it fails, in order.
-
-    A line that passes every other check is refused for its timestamp,
-    which comes before ``last_t``.
-    """
-    parts = raw.rstrip("\n").split("\t")
-    if not 3 <= len(parts) <= 5:
-        return f"expected 3 to 5 tab-separated fields, got {len(parts)}"
-    try:
-        t = float(parts[0])
-        w = float(parts[1])
-    except ValueError as exc:
-        return f"non-numeric field: {exc}"
-    if not (math.isfinite(t) and math.isfinite(w)):
-        return "non-finite timestamp or wattage"
-    if w < 0:
-        return f"negative wattage {w}"
-    if parts[2] not in PHASES:
-        return f"unknown phase {parts[2]!r}, expected one of {PHASES}"
-    for field in parts[3:]:
-        try:
-            float(field)
-        except ValueError:
-            return f"non-numeric auxiliary field {field!r}"
-    return f"timestamp {t} out of order (previous {last_t})"
 
 
 def check_poll_hz(hz: float) -> None:

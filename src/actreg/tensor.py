@@ -42,9 +42,9 @@ topological order. ``Tape.replay()`` reruns those kernels, so the same
 output tensor, and every node under it, holds what a new build would
 give for the current contents of the arrays the graph reads: its input
 tensors' data and its parameters, both updated in place. ``backward()``
-then runs on the same graph unchanged. An op built under capture
-without a kernel raises ``CaptureError``; ``reshape`` returns a view,
-which each rerun of its parent updates, and needs none.
+then runs on the same graph unchanged. Every op hands ``_node`` its
+kernel; ``reshape`` returns a view, which each rerun of its parent
+updates, so its kernel does nothing and a capture skips it.
 
 Finiteness is checked at state boundaries, not per op: the public
 ``Tensor(...)`` constructor rejects NaN and infinity in inputs and
@@ -225,27 +225,22 @@ def _view() -> None:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward: Backward,
-          kernel: Kernel | None = None) -> Tensor:
+          kernel: Kernel) -> Tensor:
     """The one graph-node constructor every op builds its output with.
 
     ``kernel`` computes ``data``, in place, from the parents' data; it
-    is run here, and recorded when a Tape captures. An op built without
-    one has its output already computed and cannot be captured.
-    Constant subgraphs are pruned: when no parent needs a gradient, or
-    under ``no_grad``, the output keeps no parents and no backward
-    closure. A capture still records their kernels, because they may
-    read the captured inputs. The output is not checked for finiteness.
+    is run here, and recorded when a Tape captures. Constant subgraphs
+    are pruned: when no parent needs a gradient, or under ``no_grad``,
+    the output keeps no parents and no backward closure. A capture still
+    records their kernels, because they may read the captured inputs.
+    The output is not checked for finiteness.
     """
-    if kernel is not None:
-        kernel()
+    kernel()
     out = Tensor.__new__(Tensor)
     # ops hand over float64 arrays, which need no conversion
     out.data = (data if type(data) is np.ndarray and data.dtype is _FLOAT64
                 else np.asarray(data, dtype=np.float64))
     if _recording is not None and kernel is not _view:
-        if kernel is None:
-            raise CaptureError("an op without a forward kernel was built under "
-                               "capture; a replay could not rerun it")
         _recording.append((kernel, out.data))
     out.grad = None
     if _grad_enabled:

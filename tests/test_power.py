@@ -85,10 +85,6 @@ def test_energy_per_correct_fixture():
 
 def test_phase_names_are_fixed():
     assert PHASES == ("training", "validation", "testing")
-    # the plain-log check names a phase by its length and reads it as two
-    # 8-byte words, one from the tab before it and one ending with its name
-    assert len(set(map(len, PHASES))) == len(PHASES)
-    assert all(7 <= len(name) <= 15 for name in PHASES)
 
 
 # ----------------------------------------------------------------- replay
@@ -454,6 +450,11 @@ METER = ("# seconds\twatts\tphase\tcpu%\tmem%\n0.0\t100.0\ttraining\t55.0\t12.0\
     ("\tvalidation", "\tvalidatio"),
     ("\tvalidation", "\tvalidatioN"),
     ("\ttesting", "\ttestinG"),
+    ("\ttraining\n1.0", "\ttraining\x00\n1.0"),  # numpy's bytes column drops the NUL
+    ("101.5", "101.5\x1f"),  # numpy reads the control byte as space
+    ("\tvalidation", "\tvalidations"),  # one byte longer than the longest name
+    # a blank line and a wide line keep the block's tab count
+    ("training\n1.0\t101.5\ttraining", "training\n\n1.0\t101.5\ttraining\t1.0\t2.0"),
 ])
 def test_a_near_miss_gives_the_line_parsers_outcome(tmp_path, old, new):
     assert PLAIN.count(old) == 1
@@ -551,6 +552,24 @@ def test_a_byte_that_is_not_utf8_anywhere_matches_the_line_parser(text, byte, at
         expected = _outcome(_line_parser, path)
         with mock.patch.object(power, "_BLOCK_CHARS", block_chars):
             assert _outcome(replay_source, path) == expected
+
+
+def test_a_log_that_grows_during_a_replay_gives_the_line_parsers_outcome(tmp_path):
+    # larger than the text layer's 8 KB read buffer, which would otherwise
+    # hold the whole log before the append
+    path = tmp_path / "log.tsv"
+    path.write_text("".join(f"{k}.0\t1.0\ttraining\n" for k in range(20_000)))
+    before = _outcome(_line_parser, path)
+    loadtxt = np.loadtxt
+
+    def append_then_read(*args, **kwargs):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("20000.0\t1.0\ttraining\x00\n")
+        return loadtxt(*args, **kwargs)
+    with mock.patch.object(power.np, "loadtxt", side_effect=append_then_read) as read:
+        outcome = _outcome(replay_source, path)
+    assert read.called
+    assert outcome in (before, _outcome(_line_parser, path))
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="posix named pipe")
